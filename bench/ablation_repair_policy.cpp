@@ -6,6 +6,8 @@
 // (mu >> N*lambda) the system almost never holds two failures, so the
 // choice barely matters — but at stressed rates it does, and this bench
 // quantifies both regimes.
+#include <string>
+
 #include "bench_common.hpp"
 
 #include "models/internal_raid.hpp"
@@ -41,8 +43,9 @@ int main(int argc, char** argv) {
           evaluate_nir(stress, models::RepairPolicy::kSingle, k);
       const double concurrent =
           evaluate_nir(stress, models::RepairPolicy::kConcurrent, k);
-      table.add_row({"x" + fixed(stress, 0), std::to_string(k), sci(single),
-                     sci(concurrent), fixed(concurrent / single, 3)});
+      table.add_row({std::string("x").append(fixed(stress, 0)),
+                     std::to_string(k), sci(single), sci(concurrent),
+                     fixed(concurrent / single, 3)});
     }
   }
   table.print(std::cout);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "models/internal_raid.hpp"
 #include "models/no_internal_raid.hpp"
@@ -43,10 +44,14 @@ int main(int argc, char** argv) {
     const double analytic = model.mttdl_exact().value();
     sim::NirStorageSimulator simulator(p, 42 + static_cast<std::uint64_t>(k));
     const sim::MttdlEstimate estimate = simulator.estimate(trials);
-    table.add_row({"no internal RAID, FT" + std::to_string(k), sci(analytic),
-                   sci(estimate.mean_hours),
-                   "[" + sci(estimate.ci95_low_hours) + ", " +
-                       sci(estimate.ci95_high_hours) + "]",
+    table.add_row({std::string("no internal RAID, FT")
+                       .append(std::to_string(k)),
+                   sci(analytic), sci(estimate.mean_hours),
+                   std::string("[")
+                       .append(sci(estimate.ci95_low_hours))
+                       .append(", ")
+                       .append(sci(estimate.ci95_high_hours))
+                       .append("]"),
                    estimate.covers(analytic) ? "yes" : "no"});
   }
 
@@ -64,10 +69,13 @@ int main(int argc, char** argv) {
     const double analytic = model.mttdl_exact().value();
     sim::IrStorageSimulator simulator(p, 142 + static_cast<std::uint64_t>(t));
     const sim::MttdlEstimate estimate = simulator.estimate(trials);
-    table.add_row({"internal RAID, FT" + std::to_string(t), sci(analytic),
-                   sci(estimate.mean_hours),
-                   "[" + sci(estimate.ci95_low_hours) + ", " +
-                       sci(estimate.ci95_high_hours) + "]",
+    table.add_row({std::string("internal RAID, FT").append(std::to_string(t)),
+                   sci(analytic), sci(estimate.mean_hours),
+                   std::string("[")
+                       .append(sci(estimate.ci95_low_hours))
+                       .append(", ")
+                       .append(sci(estimate.ci95_high_hours))
+                       .append("]"),
                    estimate.covers(analytic) ? "yes" : "no"});
   }
 

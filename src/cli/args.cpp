@@ -3,9 +3,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
 
 namespace nsrel::cli {
 
@@ -19,9 +21,11 @@ std::vector<std::string> to_tokens(int argc, const char* const* argv) {
 
 /// The few flags that take no value; everything else is `--key value`.
 bool is_bare_flag(const std::string& key) {
-  return key == "version" || key == "metrics" || key == "progress" ||
-         key == "cache-stats";
+  return key == "help" || key == "version" || key == "metrics" ||
+         key == "progress" || key == "cache-stats";
 }
+
+bool is_flag(const std::string& token) { return token.rfind("--", 0) == 0; }
 
 }  // namespace
 
@@ -29,28 +33,43 @@ Args::Args(int argc, const char* const* argv) : Args(to_tokens(argc, argv)) {}
 
 Args::Args(const std::vector<std::string>& tokens) {
   std::size_t i = 0;
-  if (i < tokens.size() && tokens[i].rfind("--", 0) != 0) {
+  if (i < tokens.size() && !is_flag(tokens[i])) {
     command_ = tokens[i];
     ++i;
   }
   for (; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
-    if (token.rfind("--", 0) != 0) {
+    if (!is_flag(token)) {
       // Positional operands exist only for the file-reading commands
       // (diff's two documents, events' journal, report's inputs); after
       // any other command a bare token is a typo.
-      NSREL_EXPECTS(command_ == "diff" || command_ == "events" ||
-                    command_ == "report");  // stray positional argument
+      if (command_ != "diff" && command_ != "events" &&
+          command_ != "report") {
+        reject("unexpected argument '" + token + "'");
+      }
       positionals_.push_back(token);
       continue;
     }
     const std::string key = token.substr(2);
     if (is_bare_flag(key)) {
-      flags_[key] = "1";
+      // insert_or_assign, not `flags_[key] = "1"`: assigning a literal
+      // into an existing string trips a GCC 12 -Wrestrict false
+      // positive at -O3.
+      flags_.insert_or_assign(key, std::string("1"));
       continue;
     }
-    NSREL_EXPECTS(i + 1 < tokens.size());  // flag without a value
+    if (i + 1 == tokens.size() || is_flag(tokens[i + 1])) {
+      reject("flag " + token + " needs a value");
+      continue;
+    }
     flags_[key] = tokens[++i];
+  }
+}
+
+void Args::reject(std::string detail) {
+  if (!error_) {
+    error_ = Error{ErrorCode::kInvalidParameter, "cli.args",
+                   std::move(detail)};
   }
 }
 

@@ -10,18 +10,20 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace nsrel::cli {
 
 class Args {
  public:
   /// Parses {argv[1], ...}. The first non-flag token is the command;
   /// everything else must be `--key value` pairs, except for the
-  /// whitelisted valueless flags (--version, --metrics, --progress,
-  /// --cache-stats) which parse as present with value "1", and the
-  /// commands that take positional operands (`diff`, `events`, and
-  /// `report`, whose operands are file paths). Throws ContractViolation on a
-  /// flag without a value or a stray positional token after any other
-  /// command.
+  /// whitelisted valueless flags (--help, --version, --metrics,
+  /// --progress, --cache-stats) which parse as present with value "1",
+  /// and the commands that take positional operands (`diff`, `events`,
+  /// and `report`, whose operands are file paths). Never throws: a flag
+  /// without a value (end of line, or another --flag next) or a stray
+  /// positional token after any other command is recorded in error().
   Args(int argc, const char* const* argv);
 
   /// Convenience for tests.
@@ -48,7 +50,14 @@ class Args {
     return positionals_;
   }
 
+  /// The first malformed token, as a typed invalid_parameter error naming
+  /// it; nullopt when the command line parsed cleanly.
+  [[nodiscard]] const std::optional<Error>& error() const { return error_; }
+
  private:
+  void reject(std::string detail);
+
+  std::optional<Error> error_;
   std::string command_;
   std::vector<std::string> positionals_;
   std::map<std::string, std::string> flags_;

@@ -4,37 +4,75 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "obs/probe_names.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/math.hpp"
 
 namespace nsrel::ctmc {
 
 namespace {
 
-/// Core elimination on the embedded-jump form:
-///   m_i = c[i] + sum_j b[i][j] * m_j,   sum_j b[i][j] + ab[i] = 1.
-/// Eliminates every state except `initial` (order: last to first, skipping
-/// `initial`), then m_initial = c[initial] / ab[initial].
-[[nodiscard]] Expected<double> eliminate(std::vector<std::vector<double>> b,
-                           std::vector<double> ab, std::vector<double> c,
-                           std::size_t initial) {
-  const std::size_t n = b.size();
-  std::vector<bool> eliminated(n, false);
+/// One stored jump probability b_ij of row i.
+struct Entry {
+  std::uint32_t col = 0;
+  double value = 0.0;
+};
+
+/// The embedded-jump form
+///   m_i = c[i] + sum_j b[i][j] * m_j,   sum_j b[i][j] + ab[i] = 1,
+/// with each row of b held as a column-sorted vector of its stored
+/// entries. Every b/ab/c value is >= 0, so an entry that is absent and
+/// one that holds 0.0 are interchangeable: adding an exact zero to a
+/// non-negative sum is a no-op.
+struct JumpSystem {
+  explicit JumpSystem(std::size_t n) : rows(n), ab(n, 0.0), c(n, 0.0) {}
+
+  std::vector<std::vector<Entry>> rows;
+  std::vector<double> ab;
+  std::vector<double> c;
+};
+
+/// Eliminates every state except `initial` (order: last to first,
+/// skipping `initial`), then m_initial = c[initial] / ab[initial].
+/// Each step touches only the rows holding an entry in the pivot's
+/// column, found through a column index. Column lists are append-only:
+/// an entry leaves its row only when its column is the pivot, after
+/// which that list is never read again, so every live row listed under
+/// a live column really holds the entry (eliminated rows are skipped).
+[[nodiscard]] Expected<double> eliminate(JumpSystem system,
+                                         std::size_t initial) {
+  auto& rows = system.rows;
+  auto& ab = system.ab;
+  auto& c = system.c;
+  const std::size_t n = rows.size();
+  std::vector<std::vector<std::uint32_t>> col_rows(n);
+  std::vector<std::uint32_t> col_size(n, 0);
+  for (const auto& row : rows) {
+    for (const Entry& e : row) ++col_size[e.col];
+  }
+  for (std::size_t j = 0; j < n; ++j) col_rows[j].reserve(col_size[j]);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const Entry& e : rows[i]) {
+      col_rows[e.col].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::vector<Entry> merged;
 
   for (std::size_t step = n; step-- > 0;) {
-    const std::size_t s = step;
-    if (s == initial) continue;
+    if (step == initial) continue;
+    const auto s = static_cast<std::uint32_t>(step);
+    // Rows above the pivot are already eliminated, except `initial`.
+    const auto eliminated = [&](std::uint32_t i) {
+      return i > s && i != initial;
+    };
+    const std::vector<Entry>& pivot_row = rows[s];
     // D_s = 1 - b[s][s], computed as a positive sum via the invariant.
     double d = ab[s];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != s && !eliminated[j]) d += b[s][j];
+    for (const Entry& e : pivot_row) {
+      if (e.col != s) d += e.value;
     }
     if (!(d > 0.0)) {
       return Error{ErrorCode::kSingularGenerator, "ctmc.elimination",
@@ -42,18 +80,35 @@ namespace {
                    "path to absorption)"};
     }
     const double inv_d = 1.0 / d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (eliminated[i] || i == s) continue;
-      const double weight = b[i][s] * inv_d;
+    for (const std::uint32_t i : col_rows[s]) {
+      if (i == s || eliminated(i)) continue;
+      std::vector<Entry>& row = rows[i];
+      const auto at_s = std::lower_bound(
+          row.begin(), row.end(), s,
+          [](const Entry& e, std::uint32_t col) { return e.col < col; });
+      NSREL_ASSERT(at_s != row.end() && at_s->col == s);
+      const double weight = at_s->value * inv_d;
+      row.erase(at_s);
       if (weight == 0.0) continue;
       c[i] += weight * c[s];
       ab[i] += weight * ab[s];
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j != s && !eliminated[j]) b[i][j] += weight * b[s][j];
+      // row += weight * pivot_row (column s excluded), as a sorted merge.
+      merged.clear();
+      auto old = row.begin();
+      for (const Entry& e : pivot_row) {
+        if (e.col == s) continue;
+        while (old != row.end() && old->col < e.col) merged.push_back(*old++);
+        if (old != row.end() && old->col == e.col) {
+          merged.push_back({e.col, old->value + weight * e.value});
+          ++old;
+        } else {
+          merged.push_back({e.col, 0.0 + weight * e.value});
+          col_rows[e.col].push_back(i);
+        }
       }
-      b[i][s] = 0.0;
+      merged.insert(merged.end(), old, row.end());
+      row.swap(merged);
     }
-    eliminated[s] = true;
   }
   // Only the initial state remains: 1 - b[ii] = ab[i], so
   // m = c / ab (both accumulated without any subtraction).
@@ -69,81 +124,15 @@ namespace {
   return mean;
 }
 
-/// Sparse twin of `eliminate`, bit-identical by construction: the same
-/// elimination order and the same per-cell operations, with the dense
-/// path's additions of exact 0.0 (no-ops on non-negative values — every
-/// b/ab/c entry here is >= +0.0, and +0.0 + 0.0 == +0.0 exactly)
-/// skipped structurally. `b[i]` holds row i's nonzero jump
-/// probabilities keyed by column; `col_rows[j]` indexes the rows with a
-/// stored entry in column j. Eliminated rows/columns are detached from
-/// both structures, which plays the role of the dense `eliminated[]`
-/// mask. On tree-structured chains (the appendix recursion) the
-/// last-to-first order eliminates leaves before parents, so no fill-in
-/// occurs and the whole solve is O(n); general chains fill into the
-/// ordered maps.
-[[nodiscard]] Expected<double> eliminate_sparse(
-    std::vector<std::map<std::uint32_t, double>> b,
-    std::vector<std::set<std::uint32_t>> col_rows, std::vector<double> ab,
-    std::vector<double> c, std::size_t initial) {
-  const std::size_t n = b.size();
-
-  for (std::size_t step = n; step-- > 0;) {
-    const std::uint32_t s = static_cast<std::uint32_t>(step);
-    if (step == initial) continue;
-    double d = ab[s];
-    for (const auto& [j, value] : b[s]) {
-      if (j != s) d += value;
-    }
-    if (!(d > 0.0)) {
-      return Error{ErrorCode::kSingularGenerator, "ctmc.elimination",
-                   "elimination pivot vanished (state has no remaining "
-                   "path to absorption)"};
-    }
-    const double inv_d = 1.0 / d;
-    for (const std::uint32_t i : col_rows[s]) {
-      if (i == s) continue;
-      const auto entry = b[i].find(s);
-      const double weight = entry->second * inv_d;
-      b[i].erase(entry);  // dense: b[i][s] = 0.0 (never read again)
-      if (weight == 0.0) continue;
-      c[i] += weight * c[s];
-      ab[i] += weight * ab[s];
-      for (const auto& [j, value] : b[s]) {
-        if (j == s) continue;
-        const auto [cell, inserted] = b[i].emplace(j, 0.0);
-        cell->second += weight * value;
-        if (inserted) col_rows[j].insert(i);
-      }
-    }
-    // Detach the eliminated row from the column index so later steps
-    // never walk it (the dense path's eliminated[] checks).
-    for (const auto& entry : b[s]) col_rows[entry.first].erase(s);
-    b[s].clear();
-    col_rows[s].clear();
-  }
-  if (!(ab[initial] > 0.0)) {
-    return Error{ErrorCode::kSingularGenerator, "ctmc.elimination",
-                 "initial state's absorption probability vanished"};
-  }
-  const double mean = c[initial] / ab[initial];
-  if (!std::isfinite(mean) || !(mean > 0.0)) {
-    return Error{ErrorCode::kNonFiniteResult, "ctmc.elimination",
-                 "mean absorption time is non-finite or nonpositive"};
-  }
-  return mean;
-}
-
 }  // namespace
 
 double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
-                                                     StateId initial,
-                                                     SolverPolicy policy) {
-  return try_mean_absorption_time_hours(chain, initial, policy)
-      .value_or_throw();
+                                                     StateId initial) {
+  return try_mean_absorption_time_hours(chain, initial).value_or_throw();
 }
 
 [[nodiscard]] Expected<double> EliminationSolver::try_mean_absorption_time_hours(
-    const Chain& chain, StateId initial, SolverPolicy policy) {
+    const Chain& chain, StateId initial) {
   NSREL_EXPECTS(chain.validate().empty());
   NSREL_EXPECTS(initial < chain.state_count());
   NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
@@ -154,126 +143,42 @@ double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
   for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
   NSREL_ASSERT(index[initial] < n);
 
-  const bool sparse_backend = use_sparse(policy, n);
   obs::Span span(obs::probe::kSpanEliminationSolve,
                  obs::probe::kSpanCategoryCtmc);
-  if (span.armed()) {
-    span.arg("backend", sparse_backend ? "sparse" : "dense");
-    span.arg("states", static_cast<std::uint64_t>(n));
-  }
-  if (sparse_backend) {
-    // Exit rates first (transition order, same accumulation as dense),
-    // then the jump-probability rows keyed by transient column index.
-    std::vector<double> exit(n, 0.0);
-    std::vector<double> absorb(n, 0.0);
-    for (const auto& t : chain.transitions()) {
-      const std::size_t from = index[t.from];
-      NSREL_ASSERT(from < n);
-      exit[from] += t.rate;
-      if (index[t.to] >= n) absorb[from] += t.rate;
-    }
-    std::vector<std::map<std::uint32_t, double>> rates(n);
-    std::vector<std::set<std::uint32_t>> col_rows(n);
-    for (const auto& t : chain.transitions()) {
-      const std::size_t from = index[t.from];
-      const std::size_t to = index[t.to];
-      if (to >= n) continue;
-      const auto [cell, inserted] =
-          rates[from].emplace(static_cast<std::uint32_t>(to), 0.0);
-      cell->second += t.rate;
-      if (inserted) {
-        col_rows[to].insert(static_cast<std::uint32_t>(from));
-      }
-    }
-    std::vector<std::map<std::uint32_t, double>> b(n);
-    std::vector<double> ab(n, 0.0);
-    std::vector<double> c(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      NSREL_ASSERT(exit[i] > 0.0);
-      const double inv_exit = 1.0 / exit[i];
-      c[i] = inv_exit;
-      ab[i] = absorb[i] * inv_exit;
-      for (const auto& [j, rate] : rates[i]) b[i].emplace(j, rate * inv_exit);
-    }
-    return eliminate_sparse(std::move(b), std::move(col_rows), std::move(ab),
-                            std::move(c), index[initial]);
-  }
-  if (policy == SolverPolicy::kDense && dense_refuses(n)) {
-    return dense_dimension_error("ctmc.elimination", n);
-  }
+  if (span.armed()) span.arg("states", static_cast<std::uint64_t>(n));
 
-  // Exit rates and split into transient-jump vs absorption flows.
-  std::vector<double> exit(n, 0.0);
-  std::vector<std::vector<double>> rates(n, std::vector<double>(n, 0.0));
-  std::vector<double> absorb(n, 0.0);
+  // Exit rates (held in c until inverted below) and the split into
+  // transient jumps vs absorption flow, accumulated in transition order.
+  // Chain::add_transition merges duplicate edges and forbids self-loops,
+  // so each (from, to) cell receives exactly one rate.
+  JumpSystem system(n);
+  std::vector<std::uint32_t> row_size(n, 0);
+  for (const auto& t : chain.transitions()) {
+    if (index[t.to] < n) ++row_size[index[t.from]];
+  }
+  for (std::size_t i = 0; i < n; ++i) system.rows[i].reserve(row_size[i]);
   for (const auto& t : chain.transitions()) {
     const std::size_t from = index[t.from];
     NSREL_ASSERT(from < n);
-    exit[from] += t.rate;
+    system.c[from] += t.rate;
     const std::size_t to = index[t.to];
     if (to < n) {
-      rates[from][to] += t.rate;
+      system.rows[from].push_back({static_cast<std::uint32_t>(to), t.rate});
     } else {
-      absorb[from] += t.rate;
+      system.ab[from] += t.rate;
     }
   }
-
-  std::vector<std::vector<double>> b(n, std::vector<double>(n, 0.0));
-  std::vector<double> ab(n, 0.0);
-  std::vector<double> c(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    NSREL_ASSERT(exit[i] > 0.0);
-    const double inv_exit = 1.0 / exit[i];
-    c[i] = inv_exit;
-    ab[i] = absorb[i] * inv_exit;
-    for (std::size_t j = 0; j < n; ++j) b[i][j] = rates[i][j] * inv_exit;
+    NSREL_ASSERT(system.c[i] > 0.0);
+    const double inv_exit = 1.0 / system.c[i];
+    system.c[i] = inv_exit;
+    system.ab[i] *= inv_exit;
+    auto& row = system.rows[i];
+    std::sort(row.begin(), row.end(),
+              [](const Entry& a, const Entry& b) { return a.col < b.col; });
+    for (Entry& e : row) e.value *= inv_exit;
   }
-  return eliminate(std::move(b), std::move(ab), std::move(c),
-                   index[initial]);
-}
-
-double EliminationSolver::mean_absorption_time_hours(const linalg::Matrix& r,
-                                                     std::size_t initial) {
-  NSREL_EXPECTS(r.square());
-  const std::size_t n = r.rows();
-  // Absorption rate = row sum of R; the only subtraction in this path,
-  // on same-scale entries, clamped against round-off noise.
-  std::vector<double> absorption(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    KahanSum row_sum;
-    for (std::size_t j = 0; j < n; ++j) row_sum.add(r(i, j));
-    absorption[i] = std::max(0.0, row_sum.value());
-  }
-  return mean_absorption_time_hours(r, absorption, initial);
-}
-
-
-double EliminationSolver::mean_absorption_time_hours(
-    const linalg::Matrix& r, const std::vector<double>& absorption_rates,
-    std::size_t initial) {
-  NSREL_EXPECTS(r.square());
-  const std::size_t n = r.rows();
-  NSREL_EXPECTS(absorption_rates.size() == n);
-  NSREL_EXPECTS(initial < n);
-
-  std::vector<std::vector<double>> b(n, std::vector<double>(n, 0.0));
-  std::vector<double> ab(n, 0.0);
-  std::vector<double> c(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double exit = r(i, i);
-    NSREL_EXPECTS(exit > 0.0);
-    NSREL_EXPECTS(absorption_rates[i] >= 0.0);
-    const double inv_exit = 1.0 / exit;
-    c[i] = inv_exit;
-    ab[i] = absorption_rates[i] * inv_exit;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      NSREL_EXPECTS(r(i, j) <= 0.0);
-      b[i][j] = -r(i, j) * inv_exit;
-    }
-  }
-  return eliminate(std::move(b), std::move(ab), std::move(c), initial)
-      .value_or_throw();
+  return eliminate(std::move(system), index[initial]);
 }
 
 double EliminationSolver::mean_absorption_time_hours(
@@ -291,27 +196,24 @@ double EliminationSolver::mean_absorption_time_hours(
   NSREL_EXPECTS(absorption_rates.size() == n);
   NSREL_EXPECTS(initial < n);
 
-  std::vector<std::map<std::uint32_t, double>> b(n);
-  std::vector<std::set<std::uint32_t>> col_rows(n);
-  std::vector<double> ab(n, 0.0);
-  std::vector<double> c(n, 0.0);
+  JumpSystem system(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double exit = r.at(i, i);
     NSREL_EXPECTS(exit > 0.0);
     NSREL_EXPECTS(absorption_rates[i] >= 0.0);
     const double inv_exit = 1.0 / exit;
-    c[i] = inv_exit;
-    ab[i] = absorption_rates[i] * inv_exit;
+    system.c[i] = inv_exit;
+    system.ab[i] = absorption_rates[i] * inv_exit;
+    auto& row = system.rows[i];
+    row.reserve(r.row_ptr()[i + 1] - r.row_ptr()[i]);
     for (std::size_t e = r.row_ptr()[i]; e < r.row_ptr()[i + 1]; ++e) {
       const std::uint32_t j = r.col_index()[e];
       if (j == i) continue;
       NSREL_EXPECTS(r.values()[e] <= 0.0);
-      b[i].emplace(j, -r.values()[e] * inv_exit);
-      col_rows[j].insert(static_cast<std::uint32_t>(i));
+      row.push_back({j, -r.values()[e] * inv_exit});
     }
   }
-  return eliminate_sparse(std::move(b), std::move(col_rows), std::move(ab),
-                          std::move(c), initial);
+  return eliminate(std::move(system), initial);
 }
 
 }  // namespace nsrel::ctmc

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/lu.hpp"
 #include "linalg/sparse/sparse_lu.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "obs/probe_names.hpp"
@@ -43,52 +42,29 @@ linalg::sparse::CsrMatrix sparse_normalized_transpose(const Chain& chain) {
 
 }  // namespace
 
-std::vector<double> StationarySolver::distribution(const Chain& chain,
-                                                   SolverPolicy policy) {
-  return try_distribution(chain, policy).value_or_throw();
+std::vector<double> StationarySolver::distribution(const Chain& chain) {
+  return try_distribution(chain).value_or_throw();
 }
 
 [[nodiscard]] Expected<std::vector<double>> StationarySolver::try_distribution(
-    const Chain& chain, SolverPolicy policy) {
+    const Chain& chain) {
   NSREL_EXPECTS(chain.absorbing_count() == 0);
   const std::size_t n = chain.state_count();
   NSREL_EXPECTS(n > 0);
 
   // pi Q = 0 with sum(pi) = 1: transpose to Q^T pi^T = 0 and replace the
   // last equation by the normalization row.
-  const bool sparse_backend = use_sparse(policy, n);
   obs::Span span(obs::probe::kSpanStationarySolve,
                  obs::probe::kSpanCategoryCtmc);
-  if (span.armed()) {
-    span.arg("backend", sparse_backend ? "sparse" : "dense");
-    span.arg("states", static_cast<std::uint64_t>(n));
+  if (span.armed()) span.arg("states", static_cast<std::uint64_t>(n));
+  const linalg::sparse::SparseLu lu(sparse_normalized_transpose(chain));
+  if (lu.singular()) {  // singular iff chain is reducible
+    return Error{ErrorCode::kSingularGenerator, "ctmc.stationary",
+                 "generator is singular (chain is reducible)"};
   }
-  linalg::Vector solution;
-  if (sparse_backend) {
-    const linalg::sparse::SparseLu lu(sparse_normalized_transpose(chain));
-    if (lu.singular()) {  // singular iff chain is reducible
-      return Error{ErrorCode::kSingularGenerator, "ctmc.stationary",
-                   "generator is singular (chain is reducible)"};
-    }
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-    solution = lu.solve(b);
-  } else {
-    if (policy == SolverPolicy::kDense && dense_refuses(n)) {
-      return dense_dimension_error("ctmc.stationary", n);
-    }
-    linalg::Matrix a = chain.generator().transpose();
-    for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-
-    const auto dense = linalg::solve(a, b);
-    if (!dense.has_value()) {  // singular iff chain is reducible
-      return Error{ErrorCode::kSingularGenerator, "ctmc.stationary",
-                   "generator is singular (chain is reducible)"};
-    }
-    solution = *dense;
-  }
+  linalg::Vector b(n, 0.0);
+  b[n - 1] = 1.0;
+  const linalg::Vector solution = lu.solve(b);
   for (const double p : solution) {
     if (!std::isfinite(p) || p < -1e-12) {
       return Error{ErrorCode::kNonFiniteResult, "ctmc.stationary",

@@ -122,8 +122,13 @@ report::Table sim_sweep_table(const ResultSet& results) {
       }
       const sim::MttdlEstimate& estimate = results.sim_at(p, c).estimate;
       row.push_back(sci(estimate.mean_hours));
-      row.push_back("[" + sci(estimate.ci95_low_hours) + ", " +
-                    sci(estimate.ci95_high_hours) + "]");
+      // append() rather than `"[" + sci(...)`: see util/format.cpp's
+      // human_bytes for the GCC 12 -Wrestrict false positive.
+      row.push_back(std::string("[")
+                        .append(sci(estimate.ci95_low_hours))
+                        .append(", ")
+                        .append(sci(estimate.ci95_high_hours))
+                        .append("]"));
     }
     table.add_row(std::move(row));
   }

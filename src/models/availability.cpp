@@ -43,16 +43,18 @@ AvailabilityResult AvailabilityModel::analyze(
       ctmc::StationarySolver::distribution(repairable);
 
   AvailabilityResult result;
-  double lost_fraction = 0.0;
-  for (const ctmc::StateId s : absorbing_chain.absorbing_states()) {
-    lost_fraction += pi[s];
-  }
+  result.mttdl = Hours(
+      ctmc::AbsorbingSolver::mttdl_hours(absorbing_chain, healthy));
+  // Lost fraction by the renewal-reward identity T_r / (MTTDL + T_r),
+  // from the cancellation-free GTH MTTDL: the stationary solve cannot
+  // resolve a lost-state probability below ~1e-16 (no-internal-RAID
+  // fault tolerance >= 5), while the identity stays exact.
+  const double lost_fraction =
+      restore_time.value() / (result.mttdl.value() + restore_time.value());
   result.availability = 1.0 - lost_fraction;
   result.downtime_minutes_per_year =
       lost_fraction * kHoursPerYear * 60.0;
   result.degraded_fraction = 1.0 - lost_fraction - pi[healthy];
-  result.mttdl = Hours(
-      ctmc::AbsorbingSolver::mttdl_hours(absorbing_chain, healthy));
   return result;
 }
 

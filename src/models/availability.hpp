@@ -7,11 +7,12 @@
 // lost, and how much time does the system spend rebuilding (degraded
 // exposure)? This module turns any absorbing data-loss chain into its
 // repairable counterpart by adding a "restoring" state that returns to
-// full health at the restore rate, and answers those questions from the
-// stationary distribution.
-//
-// Renewal-reward gives the exact identity the tests pin down:
-//     A = MTTDL / (MTTDL + MTTR_restore).
+// full health at the restore rate. Renewal-reward gives the exact
+// identity
+//     A = MTTDL / (MTTDL + MTTR_restore),
+// which analyze() evaluates with the cancellation-free MTTDL (so the
+// downtime stays positive and accurate at any fault tolerance); the
+// degraded exposure comes from the stationary distribution.
 #pragma once
 
 #include "ctmc/chain.hpp"

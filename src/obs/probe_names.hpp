@@ -63,8 +63,8 @@ inline constexpr const char* kSpanCategoryReport = "report";
 inline constexpr const char* kSpanCategoryRepair = "repair";
 
 inline constexpr const char* kSpanSolve = "solve";
-/// CTMC solver spans, each tagged with a "backend" arg (dense/sparse)
-/// so traces show which path SolverPolicy::kAuto actually picked.
+/// CTMC solver spans, each tagged with a "states" arg (the dimension
+/// the kernel ran on).
 inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
 inline constexpr const char* kSpanAbsorbingSolve = "absorbing_solve";
 inline constexpr const char* kSpanStationarySolve = "stationary_solve";

@@ -28,7 +28,9 @@ std::string fixed(double v, int decimals) {
 }
 
 std::string human_bytes(double bytes) {
-  if (bytes < 0) return "-" + human_bytes(-bytes);
+  // append() rather than `"-" + human_bytes(...)`: operator+'s front
+  // insert trips a GCC 12 -Wrestrict false positive at -O3.
+  if (bytes < 0) return std::string("-").append(human_bytes(-bytes));
   if (bytes < 1024.0 * 1024.0) {
     if (bytes >= 1024.0) return fixed(bytes / 1024.0, 0) + " KiB";
     return fixed(bytes, 0) + " B";

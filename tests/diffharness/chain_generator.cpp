@@ -20,7 +20,8 @@ ctmc::Chain birth_death(Xoshiro256& rng, std::size_t transient) {
   NSREL_EXPECTS(transient >= 1);
   ctmc::Chain chain;
   for (std::size_t i = 0; i < transient; ++i) {
-    chain.add_state("d" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(std::string("d").append(std::to_string(i)),
+                    ctmc::StateKind::kTransient);
   }
   const ctmc::StateId loss =
       chain.add_state("loss", ctmc::StateKind::kAbsorbing);
@@ -40,12 +41,14 @@ ctmc::Chain random_absorbing(Xoshiro256& rng, std::size_t transient,
   NSREL_EXPECTS(absorbing >= 1);
   ctmc::Chain chain;
   for (std::size_t i = 0; i < transient; ++i) {
-    chain.add_state("t" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(std::string("t").append(std::to_string(i)),
+                    ctmc::StateKind::kTransient);
   }
   std::vector<ctmc::StateId> sinks;
   for (std::size_t a = 0; a < absorbing; ++a) {
     sinks.push_back(
-        chain.add_state("a" + std::to_string(a), ctmc::StateKind::kAbsorbing));
+        chain.add_state(std::string("a").append(std::to_string(a)),
+                        ctmc::StateKind::kAbsorbing));
   }
   // Backbone: every transient state walks forward into the first sink,
   // so validate()'s reachability check passes by construction.
@@ -74,7 +77,8 @@ ctmc::Chain random_irreducible(Xoshiro256& rng, std::size_t n,
   NSREL_EXPECTS(n >= 2);
   ctmc::Chain chain;
   for (std::size_t i = 0; i < n; ++i) {
-    chain.add_state("s" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(std::string("s").append(std::to_string(i)),
+                    ctmc::StateKind::kTransient);
   }
   for (std::size_t i = 0; i < n; ++i) {
     chain.add_transition(i, (i + 1) % n, random_rate(rng));
@@ -114,12 +118,10 @@ DegenerateSystem trapped_system(std::size_t healthy, std::size_t trapped) {
   NSREL_EXPECTS(trapped >= 2);
   const std::size_t n = healthy + trapped;
   DegenerateSystem system;
-  system.dense = linalg::Matrix(n, n);
   system.absorption_rates.assign(n, 0.0);
   std::vector<linalg::sparse::Triplet> triplets;
 
   const auto entry = [&](std::size_t r, std::size_t c, double value) {
-    system.dense(r, c) += value;
     triplets.push_back({static_cast<std::uint32_t>(r),
                         static_cast<std::uint32_t>(c), value});
   };
@@ -138,20 +140,8 @@ DegenerateSystem trapped_system(std::size_t healthy, std::size_t trapped) {
     entry(from, from, 1.0);
     entry(from, to, -1.0);
   }
-  system.sparse = linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
+  system.r = linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
   return system;
-}
-
-ctmc::Chain disconnected_cycles() {
-  ctmc::Chain chain;
-  for (int i = 0; i < 4; ++i) {
-    chain.add_state("c" + std::to_string(i), ctmc::StateKind::kTransient);
-  }
-  chain.add_transition(0, 1, 1.0);
-  chain.add_transition(1, 0, 1.0);
-  chain.add_transition(2, 3, 1.0);
-  chain.add_transition(3, 2, 1.0);
-  return chain;
 }
 
 }  // namespace nsrel::diffharness

@@ -1,7 +1,7 @@
 // Seeded random-chain generators for the differential-testing harness
 // (tests/test_diffharness.cpp): every family the CTMC solvers accept,
-// plus deterministic degenerate systems whose solves MUST fail with the
-// same typed error on the dense and sparse backends.
+// plus deterministic degenerate systems whose solves MUST fail with a
+// typed error.
 //
 // Everything here is a pure function of its Xoshiro256 stream (or fully
 // deterministic), so a failing seed reproduces exactly.
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "util/rng.hpp"
@@ -50,25 +49,18 @@ namespace nsrel::diffharness {
 [[nodiscard]] models::NoInternalRaidParams random_recursive_params(
     Xoshiro256& rng, int fault_tolerance);
 
-/// A degenerate absorbing system in matching dense and CSR form: the
-/// last `trapped` states (>= 2) form a directed cycle with positive exit
-/// rates but NO path to absorption, so GTH elimination reaches an
-/// exactly-zero pivot on BOTH backends. With healthy == 0 the trap
-/// includes the initial state and the failure surfaces as a vanished
-/// initial absorption probability instead. All rates are small integers,
-/// so every elimination step is exact and the zero is bit-exact.
+/// A degenerate absorbing system in CSR form: the last `trapped` states
+/// (>= 2) form a directed cycle with positive exit rates but NO path to
+/// absorption, so GTH elimination reaches an exactly-zero pivot. With
+/// healthy == 0 the trap includes the initial state and the failure
+/// surfaces as a vanished initial absorption probability instead. All
+/// rates are small integers, so every elimination step is exact and the
+/// zero is bit-exact.
 struct DegenerateSystem {
-  linalg::Matrix dense;
-  linalg::sparse::CsrMatrix sparse;
+  linalg::sparse::CsrMatrix r;
   std::vector<double> absorption_rates;
 };
 [[nodiscard]] DegenerateSystem trapped_system(std::size_t healthy,
                                               std::size_t trapped);
-
-/// Reducible "irreducible-looking" chain for the stationary solver: two
-/// disconnected 2-cycles with rate-1 transitions. The normalized
-/// transpose is exactly rank-deficient (integer arithmetic), so both LU
-/// backends must report a singular generator.
-[[nodiscard]] ctmc::Chain disconnected_cycles();
 
 }  // namespace nsrel::diffharness

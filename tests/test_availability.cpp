@@ -3,8 +3,11 @@
 // chain, and plausibility at the paper's baseline.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/analyzer.hpp"
 #include "ctmc/absorbing.hpp"
+#include "ctmc/stationary.hpp"
 #include "models/availability.hpp"
 #include "models/internal_raid.hpp"
 #include "models/no_internal_raid.hpp"
@@ -38,7 +41,9 @@ TEST(Availability, MakeRepairableStructure) {
 
 TEST(Availability, RenewalRewardIdentityHoldsExactly) {
   // A = MTTDL / (MTTDL + restore_time): cycles of up-time (mean MTTDL)
-  // and down-time (mean restore_time) renew at each restore.
+  // and down-time (mean restore_time) renew at each restore. On this
+  // well-conditioned chain the stationary distribution of the
+  // repairable chain resolves the lost state too, and must agree.
   for (const double restore_hours : {1.0, 24.0, 720.0}) {
     const ctmc::Chain absorbing = simple_loss_chain(0.01, 1.0);
     const double mttdl = ctmc::AbsorbingSolver::mttdl_hours(absorbing, 0);
@@ -48,6 +53,41 @@ TEST(Availability, RenewalRewardIdentityHoldsExactly) {
     EXPECT_NEAR(result.availability, expected, 1e-9 * expected)
         << restore_hours;
     EXPECT_NEAR(result.mttdl.value(), mttdl, 1e-9 * mttdl);
+    const std::vector<double> pi = ctmc::StationarySolver::distribution(
+        AvailabilityModel::make_repairable(absorbing, 0,
+                                           rate_of(Hours(restore_hours))));
+    EXPECT_NEAR(1.0 - pi[2], expected, 1e-9 * expected) << restore_hours;
+  }
+}
+
+TEST(Availability, DowntimeIsPositiveAtEveryFaultTolerance) {
+  // Highly reliable chains put the lost state's stationary probability
+  // far below what an LU solve resolves; the downtime must still be the
+  // positive renewal-reward value T_r / (MTTDL + T_r) with MTTDL from
+  // the analyze() path.
+  core::SystemConfig system = core::SystemConfig::baseline();
+  system.redundancy_set_size = 16;
+  const core::Analyzer analyzer(system);
+  std::vector<core::Configuration> configurations;
+  for (int ft = 1; ft <= 8; ++ft) {
+    configurations.push_back({core::InternalScheme::kNone, ft});
+  }
+  for (const auto scheme :
+       {core::InternalScheme::kRaid5, core::InternalScheme::kRaid6}) {
+    for (int ft = 1; ft <= 3; ++ft) configurations.push_back({scheme, ft});
+  }
+  const double restore_hours = 24.0;
+  for (const core::Configuration& configuration : configurations) {
+    const auto built = analyzer.build_chain(configuration);
+    const AvailabilityResult result = AvailabilityModel::analyze(
+        built.chain, built.healthy, Hours(restore_hours));
+    const double mttdl = analyzer.analyze(configuration).mttdl.value();
+    const double expected =
+        restore_hours / (mttdl + restore_hours) * kHoursPerYear * 60.0;
+    EXPECT_GT(result.downtime_minutes_per_year, 0.0)
+        << core::name(configuration);
+    EXPECT_NEAR(result.downtime_minutes_per_year, expected, 1e-12 * expected)
+        << core::name(configuration);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 
 namespace nsrel::cli {
 namespace {
@@ -33,11 +34,22 @@ TEST(Args, EmptyCommandLine) {
 }
 
 TEST(Args, RejectsFlagWithoutValue) {
-  EXPECT_THROW(make_args({"analyze", "--n"}), ContractViolation);
+  // At the end of the line, or followed by another flag: either way the
+  // parse records a typed usage error naming the flag.
+  for (const Args& args : {make_args({"analyze", "--n"}),
+                           make_args({"analyze", "--n", "--ft", "2"})}) {
+    ASSERT_TRUE(args.error().has_value());
+    EXPECT_EQ(args.error()->code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(args.error()->detail, "flag --n needs a value");
+  }
+  EXPECT_FALSE(make_args({"analyze", "--n", "32"}).error().has_value());
 }
 
 TEST(Args, RejectsStrayPositional) {
-  EXPECT_THROW(make_args({"analyze", "oops"}), ContractViolation);
+  const Args args = make_args({"analyze", "oops"});
+  ASSERT_TRUE(args.error().has_value());
+  EXPECT_EQ(args.error()->code, ErrorCode::kInvalidParameter);
+  EXPECT_NE(args.error()->detail.find("'oops'"), std::string::npos);
 }
 
 TEST(Args, RejectsMalformedNumbers) {
@@ -107,6 +119,33 @@ TEST(Dispatch, HelpAndUnknown) {
   const auto unknown = run({"frobnicate"});
   EXPECT_EQ(unknown.exit_code, kExitUsage);
   EXPECT_NE(unknown.err.find("unknown command"), std::string::npos);
+}
+
+TEST(Dispatch, HelpFlagPrintsUsageAnywhere) {
+  for (const auto& result : {run({"--help"}), run({"sweep", "--help"}),
+                             run({"analyze", "--ft", "--help"})}) {
+    EXPECT_EQ(result.exit_code, kExitOk);
+    EXPECT_NE(result.out.find("usage:"), std::string::npos);
+    EXPECT_TRUE(result.err.empty()) << result.err;
+  }
+}
+
+TEST(Dispatch, FlagWithoutValueIsAUsageErrorNamingTheFlag) {
+  for (const auto& result :
+       {run({"analyze", "--ft"}), run({"sweep", "--steps", "--jobs", "2"})}) {
+    EXPECT_EQ(result.exit_code, kExitUsage);
+    EXPECT_TRUE(result.out.empty());
+    EXPECT_EQ(result.err.rfind("error: cli.args: invalid_parameter: flag --",
+                               0),
+              0u)
+        << result.err;
+    EXPECT_EQ(result.err.find("precondition"), std::string::npos);
+  }
+  EXPECT_NE(run({"analyze", "--ft"}).err.find("--ft needs a value"),
+            std::string::npos);
+  EXPECT_NE(run({"sweep", "--steps", "--jobs", "2"})
+                .err.find("--steps needs a value"),
+            std::string::npos);
 }
 
 TEST(Dispatch, AnalyzeBaselineRaid5Ft2MeetsTarget) {

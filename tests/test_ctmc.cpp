@@ -6,12 +6,14 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "ctmc/absorbing.hpp"
 #include "ctmc/chain.hpp"
 #include "ctmc/elimination.hpp"
 #include "ctmc/stationary.hpp"
 #include "ctmc/transient.hpp"
+#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -267,8 +269,11 @@ TEST(Elimination, MatchesLuOnSimpleChains) {
 TEST(Elimination, MatrixOverloadMatchesChainOverload) {
   const Chain c = repairable_pair(0.05, 3.0);
   const double via_chain = EliminationSolver::mean_absorption_time_hours(c, 0);
+  // The CSR front end with the exact per-state absorption rates.
+  const std::vector<double> absorption = c.rates_into(c.absorbing_states()[0]);
   const double via_matrix = EliminationSolver::mean_absorption_time_hours(
-      c.absorption_matrix(), 0);
+      linalg::sparse::CsrMatrix::from_dense(c.absorption_matrix()),
+      absorption, 0);
   EXPECT_NEAR(via_matrix, via_chain, 1e-12 * via_chain);
 }
 
@@ -300,9 +305,10 @@ TEST(Elimination, ValidatesInputs) {
   const Chain c = single_exponential(1.0);
   EXPECT_THROW((void)EliminationSolver::mean_absorption_time_hours(c, 1),
                ContractViolation);
-  linalg::Matrix bad_diag{{-1.0}};
+  const auto bad_diag =
+      linalg::sparse::CsrMatrix::from_dense(linalg::Matrix{{-1.0}});
   EXPECT_THROW(
-      (void)EliminationSolver::mean_absorption_time_hours(bad_diag, 0),
+      (void)EliminationSolver::mean_absorption_time_hours(bad_diag, {0.0}, 0),
       ContractViolation);
 }
 

@@ -27,7 +27,7 @@ namespace {
 Chain random_chain(std::size_t transients, Xoshiro256& rng) {
   Chain c;
   for (std::size_t i = 0; i < transients; ++i) {
-    c.add_state("t" + std::to_string(i));
+    c.add_state(std::string("t").append(std::to_string(i)));
   }
   const StateId absorber_a =
       c.add_state("lossA", StateKind::kAbsorbing);

@@ -70,7 +70,7 @@ TEST(NoInternalRaid, ChainAndRecursiveMatrixAgreeEntrywise) {
   for (int k = 1; k <= 4; ++k) {
     const NoInternalRaidModel model(baseline(k));
     const auto from_chain = model.chain().absorption_matrix();
-    const auto from_recursion = model.absorption_matrix_recursive();
+    const auto from_recursion = model.absorption_matrix_recursive().to_dense();
     ASSERT_EQ(from_chain.rows(), from_recursion.rows()) << "k=" << k;
     const double scale = from_chain.max_abs();
     for (std::size_t i = 0; i < from_chain.rows(); ++i) {
@@ -217,21 +217,16 @@ TEST(NoInternalRaid, RejectsInvalidParameters) {
 TEST(NoInternalRaid, FaultToleranceCapBoundaryIsExactlySixteen) {
   // The documented cap is fault_tolerance <= 16 (a 2^17-1 = 131071-state
   // absorption matrix). k = 16 must construct AND solve end to end on the
-  // sparse path; k = 17 is a contract violation at construction.
+  // recursive-matrix path; k = 17 is a contract violation at construction.
   NoInternalRaidParams p = baseline(16);
   p.redundancy_set_size = 32;  // R must exceed k
   const NoInternalRaidModel model(p);
-  const auto sparse = model.absorption_matrix_recursive_sparse();
-  EXPECT_EQ(sparse.rows(), (std::size_t{2} << 16) - 1);
-  EXPECT_EQ(model.absorption_rates_recursive().size(), sparse.rows());
-  const double mttdl =
-      model.mttdl_recursive_matrix(ctmc::SolverPolicy::kSparse).value();
+  const auto r = model.absorption_matrix_recursive();
+  EXPECT_EQ(r.rows(), (std::size_t{2} << 16) - 1);
+  EXPECT_EQ(model.absorption_rates_recursive().size(), r.rows());
+  const double mttdl = model.mttdl_recursive_matrix().value();
   EXPECT_TRUE(std::isfinite(mttdl));
   EXPECT_GT(mttdl, 0.0);
-  // 131071 states is far past the dense 4096-state ceiling, so the auto
-  // policy must route to the same sparse elimination, bit for bit.
-  EXPECT_EQ(model.mttdl_recursive_matrix(ctmc::SolverPolicy::kAuto).value(),
-            mttdl);
 
   p.fault_tolerance = 17;
   EXPECT_THROW(NoInternalRaidModel{p}, ContractViolation);
