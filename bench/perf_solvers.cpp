@@ -9,6 +9,7 @@
 #include "perf_json.hpp"
 
 #include "ctmc/absorbing.hpp"
+#include "ctmc/chain.hpp"
 #include "linalg/lu.hpp"
 #include "models/no_internal_raid.hpp"
 #include "sim/storage_simulator.hpp"
@@ -105,6 +106,23 @@ void BM_NirRecursiveSolveSparse(benchmark::State& state) {
 // binary-tree chains, so the solve is O(n) up to the k = 16 cap (131071
 // states).
 BENCHMARK(BM_NirRecursiveSolveSparse)->DenseRange(4, 16);
+
+// The same k range on the labelled-chain path every `nsrel analyze`
+// takes: chain() assembly, both validate() passes and the GTH solve.
+// Assembly is linear in the chain's size, so this tracks the
+// recursive-matrix route up to the k = 16 cap.
+void BM_NirExactSolveCrossover(benchmark::State& state) {
+  const models::NoInternalRaidModel model(
+      crossover_params(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.mttdl_exact().value());
+  }
+  const ctmc::Chain chain = model.chain();
+  state.counters["states"] = static_cast<double>(chain.state_count());
+  state.counters["transitions"] =
+      static_cast<double>(chain.transitions().size());
+}
+BENCHMARK(BM_NirExactSolveCrossover)->DenseRange(4, 16);
 
 void BM_AbsorbingFullAnalysis(benchmark::State& state) {
   const models::NoInternalRaidModel model(

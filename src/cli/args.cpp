@@ -1,12 +1,13 @@
 #include "cli/args.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/assert.hpp"
 #include "util/error.hpp"
 
 namespace nsrel::cli {
@@ -91,15 +92,32 @@ double Args::get_double(const std::string& key, double fallback) const {
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
-  NSREL_EXPECTS(end != nullptr && *end == '\0' && !it->second.empty());
+  if (it->second.empty() || *end != '\0') reject_flag(key, "needs a number");
   return value;
 }
 
 int Args::get_int(const std::string& key, int fallback) const {
   const double value = get_double(key, static_cast<double>(fallback));
-  const int as_int = static_cast<int>(value);
-  NSREL_EXPECTS(static_cast<double>(as_int) == value);  // reject 3.5 etc.
-  return as_int;
+  // Range-check before the cast: converting an out-of-range double to
+  // int is undefined behaviour. Also rejects NaN and 3.5.
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
+    reject_flag(key, "needs an integer");
+  }
+  return static_cast<int>(value);
+}
+
+void Args::reject_flag(const std::string& key,
+                       const std::string& requirement) const {
+  std::string detail = std::string("flag --").append(key);
+  detail.append(" ").append(requirement);
+  if (const auto it = flags_.find(key); it != flags_.end()) {
+    detail.append(", got '").append(it->second).append("'");
+  }
+  Error error{ErrorCode::kInvalidParameter, "cli.args", std::move(detail)};
+  if (!error_) error_ = error;
+  throw ErrorException(std::move(error));
 }
 
 std::vector<std::string> Args::unused() const {

@@ -33,12 +33,19 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
-  /// Typed accessors; throw ContractViolation when present but malformed.
+  /// Typed accessors. A present but malformed value (not a number, or
+  /// for get_int not an integer in int's range) goes to reject_flag().
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
+
+  /// Records a typed invalid_parameter error "flag --key <requirement>,
+  /// got '<value>'" in error() (the first error wins) and throws it as an
+  /// ErrorException; dispatch reports it as a usage error (exit 4).
+  [[noreturn]] void reject_flag(const std::string& key,
+                                const std::string& requirement) const;
 
   /// Flags present on the command line but never read by any accessor —
   /// almost certainly typos. Call after all gets.
@@ -50,14 +57,14 @@ class Args {
     return positionals_;
   }
 
-  /// The first malformed token, as a typed invalid_parameter error naming
-  /// it; nullopt when the command line parsed cleanly.
+  /// The first malformed token or rejected flag value, as a typed
+  /// invalid_parameter error naming it; nullopt when there is none.
   [[nodiscard]] const std::optional<Error>& error() const { return error_; }
 
  private:
   void reject(std::string detail);
 
-  std::optional<Error> error_;
+  mutable std::optional<Error> error_;
   std::string command_;
   std::vector<std::string> positionals_;
   std::map<std::string, std::string> flags_;

@@ -163,7 +163,7 @@ EvalFlags eval_flags_from_args(const Args& args) {
   flags.cache_stats = args.has("cache-stats");
   flags.options.jobs = args.get_int("jobs", 1);
   if (flags.options.jobs < 0) {
-    throw ContractViolation("--jobs must be >= 0 (0 = all cores)");
+    args.reject_flag("jobs", "must be >= 0 (0 = all cores)");
   }
   // The CLI default is skip: report what evaluated, mark what failed.
   // "fail" maps to the engine's fail-fast, surfacing as exit 5.
@@ -207,6 +207,13 @@ int check_unused(const Args& args, std::ostream& err) {
   for (const auto& key : unused) err << " --" << key;
   err << "\n";
   return kExitUsage;
+}
+
+/// Rejects an invalid log-spaced sweep axis (--from, --to, --steps).
+void check_sweep_range(const Args& args, double from, double to, int steps) {
+  if (steps < 2) args.reject_flag("steps", "must be >= 2");
+  if (!(from > 0.0)) args.reject_flag("from", "must be > 0");
+  if (!(to > from)) args.reject_flag("to", "must be above --from");
 }
 
 /// Details every failed cell on stderr (row-major, so the lines are
@@ -345,8 +352,7 @@ int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   EvalFlags flags = eval_flags_from_args(args);
   const bool progress = args.has("progress");
   if (const int rc = check_unused(args, err); rc != 0) return rc;
-  NSREL_EXPECTS(steps >= 2);
-  NSREL_EXPECTS(from > 0.0 && to > from);
+  check_sweep_range(args, from, to, steps);
 
   // Probe the name before evaluating so a typo is a usage error (exit
   // 2), not a ContractViolation from deep inside grid construction.
@@ -437,8 +443,7 @@ int run_simulate_sweep(const Args& args, const core::SystemConfig& base,
   EvalFlags flags = eval_flags_from_args(args);
   const bool progress = args.has("progress");
   if (const int rc = check_unused(args, err); rc != 0) return rc;
-  NSREL_EXPECTS(steps >= 2);
-  NSREL_EXPECTS(from > 0.0 && to > from);
+  check_sweep_range(args, from, to, steps);
 
   core::SystemConfig probe = base;
   if (!core::set_parameter(probe, param, from)) {
@@ -487,8 +492,10 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   spec.options.ci_target = args.get_double("ci-target", 0.0);
   spec.options.chunk_trials = args.get_int("chunk", 256);
   spec.options.max_trials = args.get_int("max-trials", spec.options.max_trials);
-  NSREL_EXPECTS(spec.trials >= 2);
-  NSREL_EXPECTS(spec.options.jobs >= 0);
+  if (spec.trials < 2) args.reject_flag("trials", "must be >= 2");
+  if (spec.options.jobs < 0) {
+    args.reject_flag("jobs", "must be >= 0 (0 = all cores)");
+  }
 
   // With --param the command becomes a Monte-Carlo sweep; --jobs then
   // parallelizes across cells instead of within the one estimate.
@@ -552,9 +559,8 @@ int run_diff(const Args& args, std::ostream& out, std::ostream& err) {
     err << "diff requires exactly two files: nsrel diff A.json B.json\n";
     return kExitUsage;
   }
-  if (options.abs_tol < 0.0 || options.rel_tol < 0.0) {
-    throw ContractViolation("--abs-tol and --rel-tol must be >= 0");
-  }
+  if (!(options.abs_tol >= 0.0)) args.reject_flag("abs-tol", "must be >= 0");
+  if (!(options.rel_tol >= 0.0)) args.reject_flag("rel-tol", "must be >= 0");
 
   // Unreadable or malformed inputs are usage-class failures (exit 4):
   // the caller named files that are not comparable v3 documents.
@@ -714,9 +720,7 @@ int run_scenario_command(const Args& args, std::ostream& out,
     err << "scenario requires --file <path>\n";
     return kExitUsage;
   }
-  if (jobs_given && jobs < 0) {
-    throw ContractViolation("--jobs must be >= 0 (0 = all cores)");
-  }
+  if (jobs < 0) args.reject_flag("jobs", "must be >= 0 (0 = all cores)");
   std::ifstream in(path);
   if (!in) {
     err << "cannot open scenario file '" << path << "'\n";
@@ -724,7 +728,13 @@ int run_scenario_command(const Args& args, std::ostream& out,
   }
   std::ostringstream text;
   text << in.rdbuf();
-  scenario::Scenario scenario = scenario::parse_scenario(text.str());
+  scenario::Scenario scenario;
+  try {
+    scenario = scenario::parse_scenario(text.str());
+  } catch (const ErrorException& bad_value) {
+    err << "error: " << bad_value.what() << "\n";
+    return kExitUsage;
+  }
   if (jobs_given) scenario.jobs = jobs;  // command line beats [output] jobs
   // With --trace/--events the dispatch-level Session owns recording and
   // writes the CLI path; drop the file's [output] key so the scenario
@@ -879,7 +889,9 @@ int dispatch(const Args& args, std::ostream& out, std::ostream& err) {
     rc = kExitUsage;
   } catch (const ErrorException& failure) {
     err << "error: " << failure.what() << "\n";
-    rc = kExitInternal;
+    // A flag value the command rejected (Args::reject_flag) is a usage
+    // error like a malformed token; any other typed error is internal.
+    rc = args.error() ? kExitUsage : kExitInternal;
   } catch (const std::exception& unexpected) {
     err << "internal error: " << unexpected.what() << "\n";
     rc = kExitInternal;

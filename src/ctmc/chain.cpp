@@ -13,6 +13,7 @@ namespace nsrel::ctmc {
 
 StateId Chain::add_state(std::string label, StateKind kind) {
   states_.push_back(State{std::move(label), kind});
+  out_edges_.emplace_back();
   return states_.size() - 1;
 }
 
@@ -22,12 +23,13 @@ void Chain::add_transition(StateId from, StateId to, double rate) {
   NSREL_EXPECTS(from != to);
   NSREL_EXPECTS(rate > 0.0);
   NSREL_EXPECTS(states_[from].kind == StateKind::kTransient);
-  for (auto& t : transitions_) {
-    if (t.from == from && t.to == to) {
-      t.rate += rate;
+  for (const std::size_t i : out_edges_[from]) {
+    if (transitions_[i].to == to) {
+      transitions_[i].rate += rate;
       return;
     }
   }
+  out_edges_[from].push_back(transitions_.size());
   transitions_.push_back(Transition{from, to, rate});
 }
 
@@ -129,9 +131,7 @@ std::vector<double> Chain::rates_into(StateId absorbing) const {
 double Chain::exit_rate(StateId id) const {
   NSREL_EXPECTS(id < states_.size());
   double total = 0.0;
-  for (const auto& t : transitions_) {
-    if (t.from == id) total += t.rate;
-  }
+  for (const std::size_t i : out_edges_[id]) total += transitions_[i].rate;
   return total;
 }
 
@@ -141,8 +141,17 @@ std::string Chain::validate() const {
 
   // BFS on the reversed graph from absorbing states: every transient state
   // must be able to reach absorption, otherwise MTTDL is infinite and the
-  // absorption matrix is singular.
-  std::vector<char> reaches(states_.size(), 0);
+  // absorption matrix is singular. The reversed graph is a CSR keyed by
+  // `to`: predecessors of state s are preds[start[s] .. start[s + 1]).
+  const std::size_t n = states_.size();
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const auto& t : transitions_) ++start[t.to + 1];
+  for (std::size_t s = 0; s < n; ++s) start[s + 1] += start[s];
+  std::vector<StateId> preds(transitions_.size());
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (const auto& t : transitions_) preds[fill[t.to]++] = t.from;
+
+  std::vector<char> reaches(n, 0);
   std::queue<StateId> frontier;
   for (const StateId a : absorbing_states()) {
     reaches[a] = 1;
@@ -151,14 +160,15 @@ std::string Chain::validate() const {
   while (!frontier.empty()) {
     const StateId current = frontier.front();
     frontier.pop();
-    for (const auto& t : transitions_) {
-      if (t.to == current && !reaches[t.from]) {
-        reaches[t.from] = 1;
-        frontier.push(t.from);
+    for (std::size_t j = start[current]; j < start[current + 1]; ++j) {
+      const StateId from = preds[j];
+      if (!reaches[from]) {
+        reaches[from] = 1;
+        frontier.push(from);
       }
     }
   }
-  for (StateId i = 0; i < states_.size(); ++i) {
+  for (StateId i = 0; i < n; ++i) {
     if (!reaches[i]) {
       return "state '" + states_[i].label + "' cannot reach absorption";
     }

@@ -5,6 +5,10 @@
 // The class exposes the infinitesimal generator Q, its restriction Q_B to
 // the transient (non-absorbing) states, and the paper appendix's
 // "absorption matrix" R = -Q_B.
+//
+// Assembly is linear in the chain's size: each state keeps the ids of its
+// outgoing transitions, so add_transition costs O(out-degree of `from`)
+// and validate() costs O(S + T) for S states and T transitions.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +41,9 @@ class Chain {
                     StateKind kind = StateKind::kTransient);
 
   /// Adds a transition with the given rate (> 0). Transitions out of
-  /// absorbing states are rejected; parallel transitions accumulate.
+  /// absorbing states are rejected; a parallel transition accumulates into
+  /// the first-inserted (from, to) slot, so transitions() keeps insertion
+  /// order. O(out-degree of `from`).
   void add_transition(StateId from, StateId to, double rate);
 
   [[nodiscard]] std::size_t state_count() const { return states_.size(); }
@@ -71,17 +77,22 @@ class Chain {
   /// into the given absorbing state.
   [[nodiscard]] std::vector<double> rates_into(StateId absorbing) const;
 
-  /// Total exit rate of a state (sum of outgoing transition rates).
+  /// Total exit rate of a state (sum of outgoing transition rates, added
+  /// in transitions() order). O(out-degree).
   [[nodiscard]] double exit_rate(StateId id) const;
 
   /// Structural sanity checks: at least one transient and one absorbing
   /// state, and every transient state can reach an absorbing state.
-  /// Returns an empty string when valid, else a description of the defect.
+  /// Returns an empty string when valid, else a description of the defect
+  /// naming the lowest-id state that cannot reach absorption. O(S + T).
   [[nodiscard]] std::string validate() const;
 
  private:
   std::vector<State> states_;
   std::vector<Transition> transitions_;
+  /// Per state, the indices into transitions_ of its outgoing transitions,
+  /// ascending (i.e. in transitions() order).
+  std::vector<std::vector<std::size_t>> out_edges_;
 };
 
 }  // namespace nsrel::ctmc

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,32 +36,39 @@ std::string word_label(const FailureWord& word, int fault_tolerance) {
 /// are added during the walk; repair edges are added afterwards by
 /// `add_repairs`, because the concurrent policy connects states across
 /// subtrees (removing a MIDDLE failure from the word).
+///
+/// States are numbered in that preorder, so a word's id is arithmetic:
+/// the N-child of a depth-q state is the next id and its d-child follows
+/// the N-subtree's 2^(k-q) - 1 states (see `word_id`).
 class ChainBuilder {
  public:
   ChainBuilder(ctmc::Chain& chain, ctmc::StateId loss,
                const NoInternalRaidParams& p, const combinat::HParams& hp)
       : chain_(chain), loss_(loss), params_(p), h_params_(hp) {}
 
-  void add_repairs() {
-    const double mu_n = params_.node_rebuild.value();
-    const double mu_d = params_.drive_rebuild.value();
-    for (const auto& [word, id] : ids_) {
-      if (word.empty()) continue;
+  /// Adds every repair edge, state by state in id order (the global
+  /// transition order of the chain depends on it).
+  void add_repairs(FailureWord& word) {
+    if (!word.empty()) {
+      const ctmc::StateId id = word_id(word, word.size());
+      const double mu_n = params_.node_rebuild.value();
+      const double mu_d = params_.drive_rebuild.value();
+      const auto repair = [&](std::size_t i) {
+        chain_.add_transition(id, word_id(word, i),
+                              word[i] == FailureKind::kNode ? mu_n : mu_d);
+      };
       if (params_.repair_policy == RepairPolicy::kSingle) {
-        FailureWord parent(word.begin(), word.end() - 1);
-        chain_.add_transition(
-            id, ids_.at(parent),
-            word.back() == FailureKind::kNode ? mu_n : mu_d);
+        repair(word.size() - 1);
       } else {
-        for (std::size_t i = 0; i < word.size(); ++i) {
-          FailureWord reduced = word;
-          reduced.erase(reduced.begin() + static_cast<long>(i));
-          chain_.add_transition(
-              id, ids_.at(reduced),
-              word[i] == FailureKind::kNode ? mu_n : mu_d);
-        }
+        for (std::size_t i = 0; i < word.size(); ++i) repair(i);
       }
     }
+    if (static_cast<int>(word.size()) == params_.fault_tolerance) return;
+    word.push_back(FailureKind::kNode);
+    add_repairs(word);
+    word.back() = FailureKind::kDrive;
+    add_repairs(word);
+    word.pop_back();
   }
 
   ctmc::StateId build(FailureWord& prefix) {
@@ -75,7 +81,6 @@ class ChainBuilder {
                               params_.drive_failure.value();
 
     const ctmc::StateId root = chain_.add_state(word_label(prefix, k));
-    ids_.emplace(prefix, root);
 
     if (depth == k) {
       // Fully degraded: any further failure in the node set loses data.
@@ -116,11 +121,26 @@ class ChainBuilder {
   }
 
  private:
+  /// Id of `word` with the letter at position `skip` removed (pass
+  /// word.size() to remove none).
+  [[nodiscard]] ctmc::StateId word_id(const FailureWord& word,
+                                      std::size_t skip) const {
+    ctmc::StateId id = NoInternalRaidModel::root_state();
+    int q = 0;  // position in the reduced word
+    for (std::size_t i = 0; i < word.size(); ++i) {
+      if (i == skip) continue;
+      id += word[i] == FailureKind::kNode
+                ? 1
+                : ctmc::StateId{1} << (params_.fault_tolerance - q);
+      ++q;
+    }
+    return id;
+  }
+
   ctmc::Chain& chain_;
   ctmc::StateId loss_;
   const NoInternalRaidParams& params_;
   const combinat::HParams& h_params_;
-  std::map<FailureWord, ctmc::StateId> ids_;
 };
 
 /// Appendix block recursion for R^(k), emitted as triplets at offset
@@ -237,7 +257,7 @@ ctmc::Chain NoInternalRaidModel::chain() const {
   ChainBuilder builder(c, loss, params_, hp);
   FailureWord prefix;
   const ctmc::StateId root = builder.build(prefix);
-  builder.add_repairs();
+  builder.add_repairs(prefix);
   NSREL_ENSURES(root == root_state());
   NSREL_ENSURES(c.state_count() ==
                 (std::size_t{2} << params_.fault_tolerance));

@@ -3,9 +3,11 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
 
 namespace nsrel::scenario {
 
@@ -104,7 +106,13 @@ double IniDocument::get_double(const std::string& section_name,
   if (it == s.end()) return fallback;
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
-  NSREL_EXPECTS(end != nullptr && *end == '\0' && !it->second.empty());
+  if (it->second.empty() || *end != '\0') {
+    std::string detail = std::string("[").append(section_name);
+    detail.append("] ").append(key).append(" needs a number, got '");
+    detail.append(it->second).append("'");
+    throw ErrorException(
+        Error{ErrorCode::kInvalidParameter, "scenario.ini", std::move(detail)});
+  }
   return value;
 }
 

@@ -34,6 +34,8 @@ class IniDocument {
   [[nodiscard]] std::string get(const std::string& section_name,
                                 const std::string& key,
                                 const std::string& fallback) const;
+  /// A present value that is not a number throws an ErrorException
+  /// (invalid_parameter, layer "scenario.ini") naming the section and key.
   [[nodiscard]] double get_double(const std::string& section_name,
                                   const std::string& key,
                                   double fallback) const;

@@ -94,7 +94,8 @@ struct Scenario {
     const std::string& token);
 
 /// Builds a Scenario from INI text; throws ContractViolation with context
-/// on unknown keys, bad parameter names, or invalid ranges.
+/// on unknown keys, bad parameter names, or invalid ranges, and an
+/// invalid_parameter ErrorException on a value that is not a number.
 [[nodiscard]] Scenario parse_scenario(const std::string& text);
 
 /// How a run went: cells evaluated vs cells failed. Under the default

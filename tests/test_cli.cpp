@@ -53,9 +53,25 @@ TEST(Args, RejectsStrayPositional) {
 }
 
 TEST(Args, RejectsMalformedNumbers) {
-  const Args args = make_args({"analyze", "--n", "abc", "--x", "3.5"});
-  EXPECT_THROW((void)args.get_double("n", 0.0), ContractViolation);
-  EXPECT_THROW((void)args.get_int("x", 0), ContractViolation);  // non-integer
+  // A malformed value is recorded as a typed error naming the flag (the
+  // first one wins) and thrown as an ErrorException.
+  const Args args = make_args(
+      {"analyze", "--n", "abc", "--x", "3.5", "--big", "1e999", "--ok", "7"});
+  EXPECT_THROW((void)args.get_double("n", 0.0), ErrorException);
+  EXPECT_THROW((void)args.get_int("x", 0), ErrorException);  // non-integer
+  EXPECT_THROW((void)args.get_int("big", 0), ErrorException);  // > INT_MAX
+  ASSERT_TRUE(args.error().has_value());
+  EXPECT_EQ(args.error()->code, ErrorCode::kInvalidParameter);
+  EXPECT_EQ(args.error()->detail, "flag --n needs a number, got 'abc'");
+  EXPECT_EQ(args.get_int("ok", 0), 7);
+
+  try {
+    (void)make_args({"analyze", "--ft", "2.5"}).get_int("ft", 2);
+    FAIL() << "non-integer accepted";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(e.error().detail, "flag --ft needs an integer, got '2.5'");
+  }
 }
 
 TEST(Args, TracksUnusedFlags) {
@@ -529,6 +545,63 @@ TEST(Diff, UsageErrors) {
                   write_temp("diff_sweep.json", sweep.out)});
   EXPECT_EQ(mismatch.exit_code, kExitUsage);
   EXPECT_NE(mismatch.err.find("axis count mismatch"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Hostile values: each one is a typed usage error naming the flag or
+// key (exit 4, nothing on stdout), never a contract violation.
+
+void expect_usage_error(const CommandResult& result, const std::string& what) {
+  EXPECT_EQ(result.exit_code, kExitUsage) << result.err;
+  EXPECT_TRUE(result.out.empty()) << result.out;
+  EXPECT_EQ(result.err.find("precondition"), std::string::npos) << result.err;
+  EXPECT_NE(result.err.find("invalid_parameter"), std::string::npos)
+      << result.err;
+  EXPECT_NE(result.err.find(what), std::string::npos) << result.err;
+}
+
+TEST(Dispatch, MalformedNumericFlagsAreUsageErrors) {
+  expect_usage_error(run({"analyze", "--ft", "abc"}),
+                     "flag --ft needs a number, got 'abc'");
+  expect_usage_error(run({"analyze", "--ft", "2.5"}),
+                     "flag --ft needs an integer, got '2.5'");
+  expect_usage_error(run({"analyze", "--n", "1e999"}),
+                     "flag --n needs an integer, got '1e999'");
+  expect_usage_error(run({"analyze", "--drive-mttf", "12x"}),
+                     "flag --drive-mttf needs a number");
+}
+
+TEST(Dispatch, SweepRangeChecksAreUsageErrors) {
+  expect_usage_error(run({"sweep", "--steps", "1"}),
+                     "flag --steps must be >= 2, got '1'");
+  expect_usage_error(run({"sweep", "--from", "0"}),
+                     "flag --from must be > 0, got '0'");
+  expect_usage_error(run({"sweep", "--from", "5e5", "--to", "1e5"}),
+                     "flag --to must be above --from, got '1e5'");
+  // The Monte-Carlo sweep shares the checks.
+  expect_usage_error(run({"simulate", "--param", "drive-mttf", "--steps", "1"}),
+                     "flag --steps must be >= 2, got '1'");
+  expect_usage_error(run({"simulate", "--param", "drive-mttf", "--from", "0"}),
+                     "flag --from must be > 0, got '0'");
+}
+
+TEST(Dispatch, SimulateRangeChecksAreUsageErrors) {
+  expect_usage_error(run({"simulate", "--trials", "1"}),
+                     "flag --trials must be >= 2, got '1'");
+  expect_usage_error(run({"simulate", "--jobs", "-1"}),
+                     "flag --jobs must be >= 0 (0 = all cores), got '-1'");
+  expect_usage_error(run({"analyze", "--jobs", "-1"}),
+                     "flag --jobs must be >= 0 (0 = all cores), got '-1'");
+}
+
+TEST(Dispatch, ScenarioNonNumericValueIsAUsageError) {
+  const std::string path =
+      write_temp("bad_from.scenario",
+                 "[configurations]\nlist = raid5-ft2\n"
+                 "[sweep]\nparam = drive-mttf\nfrom = abc\nto = 3e5\n");
+  const auto result = run_tokens({"scenario", "--file", path});
+  expect_usage_error(result, "[sweep] from needs a number, got 'abc'");
+  EXPECT_NE(result.err.find("scenario.ini"), std::string::npos);
 }
 
 }  // namespace

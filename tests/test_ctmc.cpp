@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ctmc/absorbing.hpp"
@@ -64,6 +65,28 @@ TEST(Chain, ParallelTransitionsAccumulate) {
   c.add_transition(a, b, 2.0);
   EXPECT_EQ(c.transitions().size(), 1u);
   EXPECT_DOUBLE_EQ(c.exit_rate(a), 3.0);
+
+  // Interleaved with edges out of other states, a repeated edge still
+  // merges into its first-inserted slot and the order is kept.
+  const StateId x = c.add_state("x");
+  const StateId y = c.add_state("y");
+  c.add_transition(x, a, 0.5);
+  c.add_transition(y, x, 0.25);
+  c.add_transition(a, x, 4.0);
+  c.add_transition(x, a, 0.125);
+  c.add_transition(a, b, 8.0);
+  c.add_transition(x, y, 16.0);
+  c.add_transition(y, x, 32.0);
+  const std::vector<std::tuple<StateId, StateId, double>> expected = {
+      {a, b, 11.0}, {x, a, 0.625}, {y, x, 32.25}, {a, x, 4.0}, {x, y, 16.0}};
+  ASSERT_EQ(c.transitions().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Transition& t = c.transitions()[i];
+    EXPECT_EQ(std::make_tuple(t.from, t.to, t.rate), expected[i]) << i;
+  }
+  EXPECT_EQ(c.exit_rate(a), 15.0);
+  EXPECT_EQ(c.exit_rate(x), 16.625);
+  EXPECT_EQ(c.exit_rate(b), 0.0);
 }
 
 TEST(Chain, RejectsInvalidTransitions) {
@@ -124,6 +147,28 @@ TEST(Chain, ValidateDetectsUnreachableAbsorption) {
   c.add_transition(a, trap, 1.0);
   c.add_transition(trap, a, 1.0);
   EXPECT_FALSE(c.validate().empty());
+}
+
+TEST(Chain, ValidateNamesTheLowestIdUnreachableState) {
+  Chain c;
+  const StateId loss = c.add_state("loss", StateKind::kAbsorbing);
+  const StateId ok = c.add_state("ok");
+  const StateId cycle_a = c.add_state("cycle_a");
+  const StateId cycle_b = c.add_state("cycle_b");
+  const StateId sink = c.add_state("sink");  // transient, no way out
+  const StateId feeder = c.add_state("feeder");
+  c.add_transition(ok, loss, 1.0);
+  c.add_transition(cycle_b, cycle_a, 1.0);
+  c.add_transition(cycle_a, cycle_b, 1.0);
+  c.add_transition(feeder, sink, 1.0);
+  c.add_transition(feeder, ok, 1.0);  // reaches loss through ok
+  EXPECT_EQ(c.validate(), "state 'cycle_a' cannot reach absorption");
+
+  // Once the lowest-id defect is cured the next one is named.
+  c.add_transition(cycle_b, ok, 1.0);
+  EXPECT_EQ(c.validate(), "state 'sink' cannot reach absorption");
+  c.add_transition(sink, loss, 1.0);
+  EXPECT_EQ(c.validate(), "");
 }
 
 TEST(Chain, ValidateDetectsMissingStateKinds) {

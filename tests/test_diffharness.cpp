@@ -265,12 +265,8 @@ TEST(DiffHarness, NirMttdlBitsArePinned) {
     EXPECT_TRUE(diffharness::bit_equal(model.mttdl_recursive_matrix().value(),
                                        pinned))
         << "recursive k=" << k;
-    // The labelled chain's assembly cost grows quadratically; k <= 12
-    // keeps this test fast.
-    if (k <= 12) {
-      EXPECT_TRUE(diffharness::bit_equal(model.mttdl_exact().value(), pinned))
-          << "exact k=" << k;
-    }
+    EXPECT_TRUE(diffharness::bit_equal(model.mttdl_exact().value(), pinned))
+        << "exact k=" << k;
   }
 }
 

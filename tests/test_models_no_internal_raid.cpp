@@ -2,7 +2,9 @@
 // vs the appendix's block-recursive absorption matrix, exact-vs-closed-form
 // agreement, and structural properties of the failure-word state space.
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -273,6 +275,61 @@ TEST(NoInternalRaid, SingleRepairIsConservativeByABoundedFactor) {
   const double ft3_concurrent = NoInternalRaidModel(ft3).mttdl_exact().value();
   EXPECT_GT(ft3_concurrent, 2.0 * ft3_single);
   EXPECT_LT(ft3_concurrent, 6.0 * ft3_single);  // bounded by 3!
+}
+
+/// 64-bit FNV-1a over every transition (from, to, rate bits) in
+/// transitions() order, then every state label (NUL-terminated).
+std::uint64_t chain_fingerprint(const ctmc::Chain& chain) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix_byte = [&hash](unsigned char byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  };
+  const auto mix_word = [&mix_byte](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      mix_byte(static_cast<unsigned char>(word >> (8 * i)));
+    }
+  };
+  for (const ctmc::Transition& t : chain.transitions()) {
+    mix_word(t.from);
+    mix_word(t.to);
+    mix_word(std::bit_cast<std::uint64_t>(t.rate));
+  }
+  for (ctmc::StateId id = 0; id < chain.state_count(); ++id) {
+    for (const char c : chain.state(id).label) {
+      mix_byte(static_cast<unsigned char>(c));
+    }
+    mix_byte(0);
+  }
+  return hash;
+}
+
+TEST(NoInternalRaid, ChainTransitionsArePinned) {
+  // The labelled chain, edge for edge and bit for bit: every downstream
+  // per-cell sum (GTH exit rates, DOT output, the simulator's jump
+  // tables) associates in transitions() order, so that order is part of
+  // the model's output.
+  constexpr std::uint64_t kSingle[] = {
+      0x8b2f7b2309f29918ULL, 0x5ed821b436b307b8ULL, 0xba0753c6bbbfb496ULL,
+      0x062c7fe3a700c82bULL, 0xcd05e9dcba8b3a90ULL, 0x5a8da9dcc167a388ULL,
+      0x8677a2c8097f6942ULL, 0x503e9bab68ee8cc7ULL,
+  };
+  constexpr std::uint64_t kConcurrent[] = {
+      0x8b2f7b2309f29918ULL, 0x5cf868db1e6acc74ULL, 0x7e08b92ae5e1a659ULL,
+      0x02de0652fac1cb02ULL, 0x0fc62a870a44a1d8ULL, 0x1dac0741794db867ULL,
+      0x62f1b5042350dfc5ULL, 0x0474aca8191220b6ULL,
+  };
+  for (int k = 1; k <= 8; ++k) {
+    NoInternalRaidParams p = baseline(k);
+    p.redundancy_set_size = 16;  // R must exceed k
+    const std::uint64_t single =
+        chain_fingerprint(NoInternalRaidModel(p).chain());
+    p.repair_policy = RepairPolicy::kConcurrent;
+    const std::uint64_t concurrent =
+        chain_fingerprint(NoInternalRaidModel(p).chain());
+    EXPECT_EQ(single, kSingle[k - 1]) << "single k=" << k;
+    EXPECT_EQ(concurrent, kConcurrent[k - 1]) << "concurrent k=" << k;
+  }
 }
 
 TEST(NoInternalRaid, MatrixPathsRejectConcurrentPolicy) {

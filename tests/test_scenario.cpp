@@ -9,6 +9,7 @@
 #include "scenario/ini.hpp"
 #include "scenario/scenario.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 
 namespace nsrel::scenario {
 namespace {
@@ -56,8 +57,15 @@ TEST(Ini, RejectsMalformedInput) {
   EXPECT_THROW((void)IniDocument::parse("[]\n"), ContractViolation);
   EXPECT_THROW((void)IniDocument::parse("= value\n"), ContractViolation);
   EXPECT_THROW((void)IniDocument::parse("a = 1\na = 2\n"), ContractViolation);
+  // A value that is not a number is a typed error naming the key.
   const IniDocument doc = IniDocument::parse("[s]\nx = notanumber\n");
-  EXPECT_THROW((void)doc.get_double("s", "x", 0.0), ContractViolation);
+  try {
+    (void)doc.get_double("s", "x", 0.0);
+    FAIL() << "non-numeric value accepted";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(e.error().detail, "[s] x needs a number, got 'notanumber'");
+  }
 }
 
 TEST(ConfigurationToken, ParsesAllSchemes) {
