@@ -19,6 +19,7 @@
 #include <iostream>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -69,8 +70,9 @@ struct BenchEntry {
   std::vector<std::pair<std::string, double>> counters;
 };
 
-/// Writes the nsrel-bench-v1 document: schema, binary, build identity,
-/// one record per entry. Stable key order; numbers round-trip through
+/// Writes the nsrel-bench-v1 document: schema, binary, build and machine
+/// identity (the core count std::thread::hardware_concurrency reports,
+/// 0 when unknown), one record per entry. Stable key order; numbers round-trip through
 /// strtod.
 inline void write_bench_json(std::ostream& out, const std::string& binary,
                              const std::vector<BenchEntry>& entries) {
@@ -84,6 +86,8 @@ inline void write_bench_json(std::ostream& out, const std::string& binary,
   json.key("git_sha").value(build.git_sha);
   json.key("compiler").value(build.compiler);
   json.key("build_type").value(build.build_type);
+  json.key("cores").value(
+      static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.end_object();
   json.key("benchmarks").begin_array();
   for (const BenchEntry& entry : entries) {

@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the numeric machinery: LU solves,
-// chain construction, the recursive no-internal-RAID solve as k grows, the
+// chain construction, the no-internal-RAID solve as k grows, the
 // closed forms — quantifying the cost of exact vs approximate paths — and
 // the parallel Monte-Carlo engine's scaling across worker counts.
 #include <benchmark/benchmark.h>
@@ -83,7 +83,6 @@ void BM_NirClosedForm(benchmark::State& state) {
 }
 BENCHMARK(BM_NirClosedForm)->DenseRange(1, 7);
 
-// GTH elimination on the block-recursive absorption matrix as k grows.
 // A wider redundancy set lifts the R > k precondition out of the way so
 // k can sweep to the k = 16 cap.
 models::NoInternalRaidParams crossover_params(int k) {
@@ -93,24 +92,12 @@ models::NoInternalRaidParams crossover_params(int k) {
   return p;
 }
 
-void BM_NirRecursiveSolveSparse(benchmark::State& state) {
-  const models::NoInternalRaidModel model(
-      crossover_params(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.mttdl_recursive_matrix().value());
-  }
-  state.counters["states"] =
-      static_cast<double>((std::size_t{2} << state.range(0)) - 1);
-}
-// The leaf-first elimination has no off-diagonal fill-in on these
-// binary-tree chains, so the solve is O(n) up to the k = 16 cap (131071
-// states).
-BENCHMARK(BM_NirRecursiveSolveSparse)->DenseRange(4, 16);
-
-// The same k range on the labelled-chain path every `nsrel analyze`
-// takes: chain() assembly, both validate() passes and the GTH solve.
-// Assembly is linear in the chain's size, so this tracks the
-// recursive-matrix route up to the k = 16 cap.
+// The no-internal-RAID solve as k grows, on the labelled-chain path
+// every `nsrel analyze` takes: chain() assembly, both validate() passes
+// and the GTH solve. Assembly is linear in the chain's size, and the
+// leaf-first elimination has no off-diagonal fill-in on these
+// binary-tree chains, so the whole solve is O(n) up to the k = 16 cap
+// (131071 states).
 void BM_NirExactSolveCrossover(benchmark::State& state) {
   const models::NoInternalRaidModel model(
       crossover_params(static_cast<int>(state.range(0))));
@@ -135,8 +122,8 @@ void BM_AbsorbingFullAnalysis(benchmark::State& state) {
 }
 // Beyond k = 4 the realistic-rate chain's absorption matrix drops below
 // the solver's rcond guard (the MTTDL overflows what LU can resolve),
-// so the full-analysis bench stops there; BM_NirRecursiveSolve* covers
-// larger state spaces through the guard-free elimination path.
+// so the full-analysis bench stops there; BM_NirExactSolveCrossover
+// covers larger state spaces through the guard-free elimination path.
 BENCHMARK(BM_AbsorbingFullAnalysis)->DenseRange(1, 4);
 
 // Accelerated rates (as in tests/test_sim.cpp): trajectories absorb after

@@ -216,6 +216,17 @@ void check_sweep_range(const Args& args, double from, double to, int steps) {
   if (!(to > from)) args.reject_flag("to", "must be above --from");
 }
 
+/// Rejects --from or --to when setting `param` to it leaves `base`
+/// outside its domain (an n beyond int's range, a util above 1).
+void check_sweep_domain(const Args& args, const core::SystemConfig& base,
+                        const std::string& param, double from, double to) {
+  for (const auto& [key, value] : {std::pair{"from", from}, {"to", to}}) {
+    if (const auto why = core::sweep_end_violation(base, param, value)) {
+      args.reject_flag(key, *why);
+    }
+  }
+}
+
 /// Details every failed cell on stderr (row-major, so the lines are
 /// jobs-invariant like the rendered output) and maps the run to its
 /// exit code: 0 all cells ok, 3 partial results.
@@ -361,6 +372,7 @@ int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     err << "unknown --param '" << param << "'\n";
     return kExitUsage;
   }
+  check_sweep_domain(args, base, param, from, to);
 
   // Log-spaced points: sensitivity plots in the paper span decades.
   engine::Grid grid = engine::parameter_sweep(
@@ -450,6 +462,7 @@ int run_simulate_sweep(const Args& args, const core::SystemConfig& base,
     err << "unknown --param '" << param << "'\n";
     return kExitUsage;
   }
+  check_sweep_domain(args, base, param, from, to);
 
   // Cell-level parallelism comes from the engine (--jobs); each cell
   // runs its trials inline (the engine forces this for multi-cell sim
@@ -772,7 +785,10 @@ core::SystemConfig config_from_args(const Args& args) {
   config.restripe_command = kilobytes(args.get_double("restripe-kb", 1024.0));
   config.capacity_utilization = args.get_double("util", 0.75);
   config.rebuild_bandwidth_fraction = args.get_double("bw-frac", 0.10);
-  config.validate();
+  // Flags and canonical parameter names coincide.
+  if (const auto violation = core::domain_violation(config)) {
+    args.reject_flag(violation->parameter, violation->requirement);
+  }
   return config;
 }
 

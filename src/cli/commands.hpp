@@ -33,6 +33,8 @@ inline constexpr int kExitInternal = 5;        ///< unexpected exception or
                                                ///< failure under on-error=fail
 
 /// Builds a SystemConfig from the shared flags over the paper baseline.
+/// A value outside its domain (`--n 0`, `--util 1.5`) is a typed
+/// invalid_parameter error naming the flag (see Args::reject_flag).
 [[nodiscard]] core::SystemConfig config_from_args(const Args& args);
 
 /// Parses --scheme/--ft into a Configuration (default: raid5, ft 2).

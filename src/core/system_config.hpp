@@ -3,6 +3,7 @@
 // table verbatim.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,18 +29,43 @@ struct SystemConfig {
   /// this named factory exists for call-site readability).
   [[nodiscard]] static SystemConfig baseline() { return SystemConfig{}; }
 
-  /// Throws ContractViolation when any field is out of its domain.
+  /// Throws ContractViolation when any field is out of its domain (the
+  /// library contract; user input goes through domain_violation()).
   void validate() const;
 };
+
+/// A field outside its domain, named by its canonical parameter name
+/// (see set_parameter), with the requirement it breaks.
+struct DomainViolation {
+  std::string parameter;    ///< e.g. "util"
+  std::string requirement;  ///< e.g. "needs a value in (0, 1]"
+};
+
+/// The first user-settable field outside its domain, in
+/// parameter_names() order; nullopt when every one is inside. Callers
+/// that read user input report it as a typed error naming their flag
+/// or key instead of letting validate() throw.
+[[nodiscard]] std::optional<DomainViolation> domain_violation(
+    const SystemConfig& config);
 
 /// Sets one field by its canonical parameter name (the names the CLI and
 /// scenario files share): n, r, d, node-mttf, drive-mttf, capacity-gb,
 /// her-exp (1 sector per 10^value bits), iops, xfer-mbps, link-gbps,
 /// rebuild-kb, restripe-kb, util, bw-frac. Returns false for an unknown
-/// name; the value is applied unvalidated (call validate() after the
-/// last set).
+/// name; the value is applied unvalidated (check domain_violation() or
+/// call validate() after the last set). n, r and d truncate to int; a
+/// value beyond int's range (or NaN) is stored as 0, outside their
+/// domains, because casting it would be undefined behaviour.
 [[nodiscard]] bool set_parameter(SystemConfig& config, const std::string& name,
                                  double value);
+
+/// Why setting `parameter` to `value` on `base` leaves the domain, as a
+/// requirement naming the broken field ("puts n out of its domain
+/// (needs ...)"); nullopt when the result is inside it. Each field's
+/// domain is an interval, so a sweep whose two ends pass this check has
+/// every point inside.
+[[nodiscard]] std::optional<std::string> sweep_end_violation(
+    const SystemConfig& base, const std::string& parameter, double value);
 
 /// The canonical parameter names accepted by set_parameter.
 [[nodiscard]] std::vector<std::string> parameter_names();

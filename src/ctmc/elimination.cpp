@@ -181,39 +181,4 @@ double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
   return eliminate(std::move(system), index[initial]);
 }
 
-double EliminationSolver::mean_absorption_time_hours(
-    const linalg::sparse::CsrMatrix& r,
-    const std::vector<double>& absorption_rates, std::size_t initial) {
-  return try_mean_absorption_time_hours(r, absorption_rates, initial)
-      .value_or_throw();
-}
-
-[[nodiscard]] Expected<double> EliminationSolver::try_mean_absorption_time_hours(
-    const linalg::sparse::CsrMatrix& r,
-    const std::vector<double>& absorption_rates, std::size_t initial) {
-  NSREL_EXPECTS(r.square());
-  const std::size_t n = r.rows();
-  NSREL_EXPECTS(absorption_rates.size() == n);
-  NSREL_EXPECTS(initial < n);
-
-  JumpSystem system(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double exit = r.at(i, i);
-    NSREL_EXPECTS(exit > 0.0);
-    NSREL_EXPECTS(absorption_rates[i] >= 0.0);
-    const double inv_exit = 1.0 / exit;
-    system.c[i] = inv_exit;
-    system.ab[i] = absorption_rates[i] * inv_exit;
-    auto& row = system.rows[i];
-    row.reserve(r.row_ptr()[i + 1] - r.row_ptr()[i]);
-    for (std::size_t e = r.row_ptr()[i]; e < r.row_ptr()[i + 1]; ++e) {
-      const std::uint32_t j = r.col_index()[e];
-      if (j == i) continue;
-      NSREL_EXPECTS(r.values()[e] <= 0.0);
-      row.push_back({j, -r.values()[e] * inv_exit});
-    }
-  }
-  return eliminate(std::move(system), initial);
-}
-
 }  // namespace nsrel::ctmc

@@ -16,18 +16,17 @@
 //
 // One kernel: b is stored as flat, column-sorted per-row vectors of its
 // nonzero jump probabilities, eliminated last state to first (skipping
-// `initial`). On the appendix recursion's binary-tree chains that order
+// `initial`). On the no-internal-RAID binary-tree chains that order
 // is leaf-first, so there is no off-diagonal fill-in and the solve runs
 // in O(n); arbitrary chains may fill in, and the rows grow to hold it.
-// Two thin front ends feed it: a labelled Chain, and a CSR absorption
-// matrix with exact per-state absorption rates.
+// One front end feeds it: a labelled Chain, whose transitions give the
+// jump rates and the exact per-state absorption rates directly.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/error.hpp"
 
 namespace nsrel::ctmc {
@@ -42,27 +41,11 @@ class EliminationSolver {
   [[nodiscard]] static double mean_absorption_time_hours(const Chain& chain,
                                                          StateId initial);
 
-  /// Non-throwing form of the chain overload: a vanishing elimination
-  /// pivot (no remaining path to absorption — a numerically singular
-  /// generator) or a non-finite mean comes back as a typed error.
+  /// Non-throwing form: a vanishing elimination pivot (no remaining path
+  /// to absorption — a numerically singular generator) or a non-finite
+  /// mean comes back as a typed error.
   [[nodiscard]] static Expected<double> try_mean_absorption_time_hours(
       const Chain& chain, StateId initial);
-
-  /// From an absorption matrix R = -Q_B in CSR form (appendix form):
-  /// R's off-diagonals give jump rates, its diagonal gives exit rates,
-  /// and the caller supplies the exact absorption rate of each state, so
-  /// no row-sum subtraction is ever needed — the path that takes the
-  /// appendix recursion to the k=16 cap.
-  /// Preconditions: r square, absorption_rates.size() == r.rows(),
-  /// positive diagonal, non-positive off-diagonals.
-  [[nodiscard]] static double mean_absorption_time_hours(
-      const linalg::sparse::CsrMatrix& r,
-      const std::vector<double>& absorption_rates, std::size_t initial);
-
-  /// Non-throwing form of the CSR overload.
-  [[nodiscard]] static Expected<double> try_mean_absorption_time_hours(
-      const linalg::sparse::CsrMatrix& r,
-      const std::vector<double>& absorption_rates, std::size_t initial);
 };
 
 }  // namespace nsrel::ctmc

@@ -1,12 +1,12 @@
 // Sparse matrix substrate for the large structured CTMC generators.
 //
-// The appendix recursion's absorption matrix at fault tolerance k has
+// The no-internal-RAID absorption matrix at fault tolerance k has
 // 2^(k+1)-1 rows but only ~3 nonzeros per row (a binary tree of failure
 // edges plus one repair edge per state), so past k ~ 5 the dense Matrix
 // wastes quadratic memory and the O(n^3) factorizations dominate every
 // sweep. Triplets are the mutable assembly form (duplicates accumulate,
 // like Chain::add_transition); CsrMatrix is the immutable compressed
-// sparse row form the solvers consume.
+// sparse row form SparseLu consumes.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +38,6 @@ class CsrMatrix {
       std::size_t rows, std::size_t cols,
       const std::vector<Triplet>& triplets);
 
-  /// Compresses a dense matrix (entries with value exactly 0 dropped).
-  [[nodiscard]] static CsrMatrix from_dense(const Matrix& dense);
-
   /// Expands back to dense — diff-harness and test plumbing only.
   [[nodiscard]] Matrix to_dense() const;
 
@@ -59,22 +56,8 @@ class CsrMatrix {
   }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
-  /// Entry lookup by binary search within the row; 0.0 when absent.
-  [[nodiscard]] double at(std::size_t row, std::size_t col) const;
-
-  /// y = A x. Requires x.size() == cols().
-  [[nodiscard]] Vector multiply(const Vector& x) const;
-
-  /// y = A^T x. Requires x.size() == rows().
-  [[nodiscard]] Vector multiply_transposed(const Vector& x) const;
-
-  [[nodiscard]] CsrMatrix transpose() const;
-
   /// Column-sum norm (induced 1-norm) — the Hager estimator's norm.
   [[nodiscard]] double one_norm() const;
-
-  /// Row-sum norm (induced infinity norm).
-  [[nodiscard]] double inf_norm() const;
 
  private:
   std::size_t rows_ = 0;

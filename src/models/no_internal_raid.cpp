@@ -2,14 +2,10 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "ctmc/absorbing.hpp"
-#include "ctmc/elimination.hpp"
-#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -143,84 +139,6 @@ class ChainBuilder {
   const combinat::HParams& h_params_;
 };
 
-/// Appendix block recursion for R^(k), emitted as triplets at offset
-/// `base` into `out`. `h` spans the 2^k h_alpha values for this subtree,
-/// in combinat::h_set order. The parent's mu contribution to a
-/// sub-block root's diagonal is pushed AFTER the sub-block's own
-/// entries, so CsrMatrix::from_triplets (which accumulates duplicates in
-/// triplet order) computes the appendix's `R^(k-1) + mu * U` sum.
-/// Returns the block's dimension.
-std::size_t append_absorption_triplets(
-    int k, double n_eff, const NoInternalRaidParams& p,
-    std::span<const double> h, std::uint32_t base,
-    std::vector<linalg::sparse::Triplet>& out) {
-  NSREL_ASSERT(h.size() == (std::size_t{1} << k));
-  const double lambda_n = p.node_failure.value();
-  const double d_lambda_d =
-      static_cast<double>(p.drives_per_node) * p.drive_failure.value();
-  const double mu_n = p.node_rebuild.value();
-  const double mu_d = p.drive_rebuild.value();
-
-  if (k == 1) {
-    // Same saturation as ChainBuilder so the two constructions agree.
-    const double h_n = saturated_probability(h[0]);
-    const double h_d = saturated_probability(h[1]);
-    const double exhausted = (n_eff - 1.0) * (lambda_n + d_lambda_d);
-    out.push_back({base, base, n_eff * (lambda_n + d_lambda_d)});
-    out.push_back({base, base + 1, -n_eff * lambda_n * (1.0 - h_n)});
-    out.push_back({base, base + 2, -n_eff * d_lambda_d * (1.0 - h_d)});
-    out.push_back({base + 1, base, -mu_n});
-    out.push_back({base + 1, base + 1, mu_n + exhausted});
-    out.push_back({base + 2, base, -mu_d});
-    out.push_back({base + 2, base + 2, mu_d + exhausted});
-    return 3;
-  }
-
-  const std::size_t half = h.size() / 2;
-  const std::uint32_t sub =
-      static_cast<std::uint32_t>((std::size_t{1} << k) - 1);
-  // r^(k): the root of a k>1 block has no direct absorption.
-  out.push_back({base, base, n_eff * (lambda_n + d_lambda_d)});
-  out.push_back({base, base + 1, -n_eff * lambda_n});
-  out.push_back({base, base + 1 + sub, -n_eff * d_lambda_d});
-  out.push_back({base + 1, base, -mu_n});
-  out.push_back({base + 1 + sub, base, -mu_d});
-  // R_x^(k) = R^(k-1)(N-1, h_x . h^(k-1)) + mu_x * U  (appendix A.4).
-  const std::size_t sub_n = append_absorption_triplets(
-      k - 1, n_eff - 1.0, p, h.first(half), base + 1, out);
-  out.push_back({base + 1, base + 1, mu_n});
-  const std::size_t sub_d = append_absorption_triplets(
-      k - 1, n_eff - 1.0, p, h.last(half), base + 1 + sub, out);
-  out.push_back({base + 1 + sub, base + 1 + sub, mu_d});
-  NSREL_ASSERT(sub_n == sub && sub_d == sub);
-  return 2 * std::size_t{sub} + 1;
-}
-
-/// Absorption rates per state, in the same recursive state order as
-/// append_absorption_triplets. Only the bottom two levels absorb: depth
-/// k-1 states via the pre-sampled hard-error flow, depth k states via any
-/// further failure.
-void append_absorption_rates(int k, double n_eff,
-                             const NoInternalRaidParams& p,
-                             std::span<const double> h,
-                             std::vector<double>& out) {
-  const double lambda_n = p.node_failure.value();
-  const double d_lambda_d =
-      static_cast<double>(p.drives_per_node) * p.drive_failure.value();
-  if (k == 1) {
-    const double h_n = saturated_probability(h[0]);
-    const double h_d = saturated_probability(h[1]);
-    out.push_back(n_eff * (lambda_n * h_n + d_lambda_d * h_d));
-    out.push_back((n_eff - 1.0) * (lambda_n + d_lambda_d));
-    out.push_back((n_eff - 1.0) * (lambda_n + d_lambda_d));
-    return;
-  }
-  out.push_back(0.0);  // the root of a k>1 block never absorbs directly
-  const std::size_t half = h.size() / 2;
-  append_absorption_rates(k - 1, n_eff - 1.0, p, h.first(half), out);
-  append_absorption_rates(k - 1, n_eff - 1.0, p, h.last(half), out);
-}
-
 }  // namespace
 
 NoInternalRaidModel::NoInternalRaidModel(const NoInternalRaidParams& params)
@@ -267,45 +185,6 @@ ctmc::Chain NoInternalRaidModel::chain() const {
 
 Hours NoInternalRaidModel::mttdl_exact() const {
   return Hours(ctmc::AbsorbingSolver::mttdl_hours(chain(), root_state()));
-}
-
-linalg::sparse::CsrMatrix NoInternalRaidModel::absorption_matrix_recursive()
-    const {
-  NSREL_EXPECTS(params_.repair_policy == RepairPolicy::kSingle);
-  const std::vector<double> h = combinat::h_set(h_params());
-  const std::size_t dim = (std::size_t{2} << params_.fault_tolerance) - 1;
-  std::vector<linalg::sparse::Triplet> triplets;
-  // Each state row holds at most 3 structural entries plus the parent's
-  // mu contribution.
-  triplets.reserve(4 * dim);
-  const std::size_t built = append_absorption_triplets(
-      params_.fault_tolerance, static_cast<double>(params_.node_set_size),
-      params_, h, 0, triplets);
-  NSREL_ENSURES(built == dim);
-  return linalg::sparse::CsrMatrix::from_triplets(dim, dim, triplets);
-}
-
-Hours NoInternalRaidModel::mttdl_recursive_matrix() const {
-  // The appendix's block structure encodes single (LIFO) repair.
-  NSREL_EXPECTS(params_.repair_policy == RepairPolicy::kSingle);
-  // MTTDL = <1,0,...,0> R^{-1} <1,...,1>^t (appendix A.2), evaluated via
-  // cancellation-free elimination: the naive LU evaluation loses all
-  // precision (and can go negative) once MTTDL/mu exceeds ~1/epsilon,
-  // which happens at fault tolerance ~6 with baseline rates.
-  return Hours(ctmc::EliminationSolver::mean_absorption_time_hours(
-      absorption_matrix_recursive(), absorption_rates_recursive(), 0));
-}
-
-std::vector<double> NoInternalRaidModel::absorption_rates_recursive() const {
-  const std::vector<double> h = combinat::h_set(h_params());
-  std::vector<double> rates;
-  rates.reserve((std::size_t{2} << params_.fault_tolerance) - 1);
-  append_absorption_rates(params_.fault_tolerance,
-                          static_cast<double>(params_.node_set_size), params_,
-                          h, rates);
-  NSREL_ENSURES(rates.size() ==
-                (std::size_t{2} << params_.fault_tolerance) - 1);
-  return rates;
 }
 
 double l_recursion(int k, const std::vector<double>& h_values, double lambda_n,

@@ -12,17 +12,18 @@
 // 5.2.2); full-depth states absorb at rate (N-k)(lambda_N + d lambda_d);
 // repairs undo the most recent failure at mu_N or mu_d.
 //
-// Two independent constructions are provided: a labeled `ctmc::Chain`
-// (transition-level, also consumed by the Monte-Carlo simulator) and the
-// appendix's block-recursive absorption matrix R^(k) in CSR form. Tests
-// assert they produce the same matrix.
+// The chain is built once, by walking the failure words in preorder
+// (root, N-subtree, d-subtree). That numbering is the appendix's block
+// order, so chain()'s absorption matrix is the block recursion R^(k)
+// state for state. The recursion itself is kept only as a test oracle
+// (tests/diffharness/appendix_oracle.*) that rebuilds R^(k) and checks
+// chain() against it entry by entry.
 #pragma once
 
 #include <vector>
 
 #include "combinat/critical_sets.hpp"
 #include "ctmc/chain.hpp"
-#include "linalg/sparse/sparse_matrix.hpp"
 #include "models/internal_raid.hpp"  // RepairPolicy
 #include "util/units.hpp"
 
@@ -41,7 +42,7 @@ struct NoInternalRaidParams {
   double her_per_byte = 8e-14;        ///< HER, errors per byte read
   /// kSingle repairs only the most recent failure (the paper's chains);
   /// kConcurrent repairs every outstanding failure at its own rate (the
-  /// recursive matrix path and the closed forms assume kSingle).
+  /// appendix recursion and the closed forms assume kSingle).
   RepairPolicy repair_policy = RepairPolicy::kSingle;
 };
 
@@ -49,9 +50,8 @@ class NoInternalRaidModel {
  public:
   /// Preconditions: k >= 1, k < R <= N, N > k, d >= 1, rates > 0,
   /// fault_tolerance <= 16. The absorption matrix has 2^(k+1)-1 states
-  /// (131071 at the k=16 cap). Both routes are linear in that size: the
-  /// recursive-matrix route and the labeled chain() / mttdl_exact() each
-  /// take about 0.15 s at k=16.
+  /// (131071 at the k=16 cap); chain() and mttdl_exact() are linear in
+  /// that size and take about 0.15 s at k=16.
   explicit NoInternalRaidModel(const NoInternalRaidParams& params);
 
   [[nodiscard]] const NoInternalRaidParams& params() const { return params_; }
@@ -66,24 +66,8 @@ class NoInternalRaidModel {
   /// Id of the fully-operational root state within chain().
   [[nodiscard]] static ctmc::StateId root_state() { return 1; }
 
-  /// The appendix's absorption matrix R^(k), built by the block recursion
-  /// (dimension 2^(k+1)-1), ordered root, N-subtree, d-subtree. CSR
-  /// storage is O(n), which takes the recursion to the k=16 cap; call
-  /// to_dense() for a dense view of small k.
-  [[nodiscard]] linalg::sparse::CsrMatrix absorption_matrix_recursive() const;
-
-  /// Exact per-state absorption rates in the same state order (nonzero
-  /// only at the bottom two levels of the recursion) — supplied to the
-  /// elimination solver so no row-sum subtraction is ever needed.
-  [[nodiscard]] std::vector<double> absorption_rates_recursive() const;
-
   /// MTTDL by numerically solving the exact chain (GTH elimination).
   [[nodiscard]] Hours mttdl_exact() const;
-
-  /// MTTDL = <1,0,...,0> R^{-1} <1,...,1>^t on the block-recursive matrix
-  /// (appendix equation A.2) — an independent numerical path through the
-  /// same GTH elimination kernel.
-  [[nodiscard]] Hours mttdl_recursive_matrix() const;
 
   /// The paper's closed-form approximation. For k = 1, 2, 3 this equals
   /// the printed formulas (section 4.3 and Figure 12); for larger k it is

@@ -1,6 +1,8 @@
 #include "scenario/ini.hpp"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -107,13 +109,34 @@ double IniDocument::get_double(const std::string& section_name,
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
   if (it->second.empty() || *end != '\0') {
-    std::string detail = std::string("[").append(section_name);
-    detail.append("] ").append(key).append(" needs a number, got '");
-    detail.append(it->second).append("'");
-    throw ErrorException(
-        Error{ErrorCode::kInvalidParameter, "scenario.ini", std::move(detail)});
+    reject_value(section_name, key, "needs a number");
   }
   return value;
+}
+
+int IniDocument::get_int(const std::string& section_name,
+                         const std::string& key, int fallback) const {
+  const double value =
+      get_double(section_name, key, static_cast<double>(fallback));
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
+    reject_value(section_name, key, "needs an integer");
+  }
+  return static_cast<int>(value);
+}
+
+void IniDocument::reject_value(const std::string& section_name,
+                               const std::string& key,
+                               const std::string& requirement) const {
+  std::string detail = std::string("[").append(section_name);
+  detail.append("] ").append(key).append(" ").append(requirement);
+  const Section& s = section(section_name);
+  if (const auto it = s.find(key); it != s.end()) {
+    detail.append(", got '").append(it->second).append("'");
+  }
+  throw ErrorException(
+      Error{ErrorCode::kInvalidParameter, "scenario.ini", std::move(detail)});
 }
 
 bool IniDocument::has(const std::string& section_name,

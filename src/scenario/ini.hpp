@@ -39,6 +39,16 @@ class IniDocument {
   [[nodiscard]] double get_double(const std::string& section_name,
                                   const std::string& key,
                                   double fallback) const;
+  /// Like get_double, for an integer in int's range (checked before the
+  /// cast, which would be undefined behaviour).
+  [[nodiscard]] int get_int(const std::string& section_name,
+                            const std::string& key, int fallback) const;
+  /// Throws the ErrorException (invalid_parameter, layer "scenario.ini")
+  /// for "[section] key <requirement>, got '<value>'"; the "got" part
+  /// only when the key is present.
+  [[noreturn]] void reject_value(const std::string& section_name,
+                                 const std::string& key,
+                                 const std::string& requirement) const;
   [[nodiscard]] bool has(const std::string& section_name,
                          const std::string& key) const;
 

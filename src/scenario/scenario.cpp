@@ -60,7 +60,9 @@ Scenario parse_scenario(const std::string& text) {
       throw ContractViolation("unknown system parameter '" + key + "'");
     }
   }
-  scenario.system.validate();
+  if (const auto violation = core::domain_violation(scenario.system)) {
+    doc.reject_value("system", violation->parameter, violation->requirement);
+  }
 
   // [configurations].
   const std::string list =
@@ -94,7 +96,7 @@ Scenario parse_scenario(const std::string& text) {
     }
     sweep.from = doc.get_double(section, "from", 0.0);
     sweep.to = doc.get_double(section, "to", 0.0);
-    sweep.steps = static_cast<int>(doc.get_double(section, "steps", 5.0));
+    sweep.steps = doc.get_int(section, "steps", 5);
     const std::string scale = doc.get(section, "scale", "log");
     if (scale == "log") {
       sweep.log_scale = true;
@@ -107,6 +109,14 @@ Scenario parse_scenario(const std::string& text) {
       throw ContractViolation("[" + section +
                               "] requires 0 < from < to and steps >= 2");
     }
+    for (const auto& [key, value] :
+         {std::pair{"from", sweep.from}, {"to", sweep.to}}) {
+      if (const auto why =
+              core::sweep_end_violation(scenario.system, sweep.parameter,
+                                        value)) {
+        doc.reject_value(section, key, *why);
+      }
+    }
     scenario.sweeps.push_back(sweep);
   }
 
@@ -116,7 +126,7 @@ Scenario parse_scenario(const std::string& text) {
   scenario.target =
       core::ReliabilityTarget{doc.get_double("output", "target", 2e-3)};
   scenario.method = core::parse_method(doc.get("output", "method", "exact"));
-  scenario.jobs = static_cast<int>(doc.get_double("output", "jobs", 1.0));
+  scenario.jobs = doc.get_int("output", "jobs", 1);
   if (scenario.jobs < 0) {
     throw ContractViolation("[output] jobs must be >= 0 (0 = all cores)");
   }

@@ -114,34 +114,19 @@ models::NoInternalRaidParams random_recursive_params(Xoshiro256& rng,
   return p;
 }
 
-DegenerateSystem trapped_system(std::size_t healthy, std::size_t trapped) {
-  NSREL_EXPECTS(trapped >= 2);
-  const std::size_t n = healthy + trapped;
-  DegenerateSystem system;
-  system.absorption_rates.assign(n, 0.0);
-  std::vector<linalg::sparse::Triplet> triplets;
-
-  const auto entry = [&](std::size_t r, std::size_t c, double value) {
-    triplets.push_back({static_cast<std::uint32_t>(r),
-                        static_cast<std::uint32_t>(c), value});
-  };
-
-  // Healthy states: exit 3, jump 1 forward, absorb 2 — plus one edge
-  // from the last healthy state into the trap so the trap is reachable.
-  for (std::size_t i = 0; i < healthy; ++i) {
-    entry(i, i, 3.0);
-    entry(i, i + 1, -1.0);
-    system.absorption_rates[i] = 2.0;
+ctmc::Chain underflowing_trap(bool traps_initial) {
+  // A rate-1 path s0 -> ... -> last, whose last state jumps back at 1e300
+  // and absorbs at 1e-300.
+  const std::size_t n = traps_initial ? 2 : 3;
+  ctmc::Chain chain;
+  for (std::size_t i = 0; i < n; ++i) {
+    chain.add_state(std::string("s").append(std::to_string(i)));
   }
-  // Trap states: a pure directed cycle, exit 1, zero absorption.
-  for (std::size_t t = 0; t < trapped; ++t) {
-    const std::size_t from = healthy + t;
-    const std::size_t to = healthy + (t + 1) % trapped;
-    entry(from, from, 1.0);
-    entry(from, to, -1.0);
-  }
-  system.r = linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
-  return system;
+  const ctmc::StateId loss = chain.add_state("A", ctmc::StateKind::kAbsorbing);
+  for (std::size_t i = 0; i + 1 < n; ++i) chain.add_transition(i, i + 1, 1.0);
+  chain.add_transition(n - 1, n - 2, 1e300);
+  chain.add_transition(n - 1, loss, 1e-300);
+  return chain;
 }
 
 }  // namespace nsrel::diffharness

@@ -1,6 +1,6 @@
 // Seeded random-chain generators for the differential-testing harness
 // (tests/test_diffharness.cpp): every family the CTMC solvers accept,
-// plus deterministic degenerate systems whose solves MUST fail with a
+// plus deterministic degenerate chains whose solves MUST fail with a
 // typed error.
 //
 // Everything here is a pure function of its Xoshiro256 stream (or fully
@@ -8,10 +8,8 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "ctmc/chain.hpp"
-#include "linalg/sparse/sparse_matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "util/rng.hpp"
 
@@ -49,18 +47,13 @@ namespace nsrel::diffharness {
 [[nodiscard]] models::NoInternalRaidParams random_recursive_params(
     Xoshiro256& rng, int fault_tolerance);
 
-/// A degenerate absorbing system in CSR form: the last `trapped` states
-/// (>= 2) form a directed cycle with positive exit rates but NO path to
-/// absorption, so GTH elimination reaches an exactly-zero pivot. With
-/// healthy == 0 the trap includes the initial state and the failure
-/// surfaces as a vanished initial absorption probability instead. All
-/// rates are small integers, so every elimination step is exact and the
-/// zero is bit-exact.
-struct DegenerateSystem {
-  linalg::sparse::CsrMatrix r;
-  std::vector<double> absorption_rates;
-};
-[[nodiscard]] DegenerateSystem trapped_system(std::size_t healthy,
-                                              std::size_t trapped);
+/// A degenerate absorbing chain that passes validate() but whose only
+/// path to absorption underflows: s0 -> s1 (rate 1) into a trap where a
+/// 1e300 rate swamps a 1e-300 absorbing exit, so that exit's jump
+/// probability rounds to exactly zero and GTH elimination from s0
+/// reaches an exactly-zero pivot. With traps_initial the trap is
+/// s0 <-> s1 itself and the failure surfaces instead as a vanished
+/// initial absorption probability.
+[[nodiscard]] ctmc::Chain underflowing_trap(bool traps_initial);
 
 }  // namespace nsrel::diffharness

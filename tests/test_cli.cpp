@@ -96,8 +96,13 @@ TEST(ConfigFromArgs, MapsFlagsOntoBaseline) {
 }
 
 TEST(ConfigFromArgs, InvalidValuesAreRejected) {
+  // A typed error naming the flag, recorded on the Args for dispatch.
   const Args args = make_args({"analyze", "--util", "1.5"});
-  EXPECT_THROW((void)config_from_args(args), ContractViolation);
+  EXPECT_THROW((void)config_from_args(args), ErrorException);
+  ASSERT_TRUE(args.error().has_value());
+  EXPECT_EQ(args.error()->code, ErrorCode::kInvalidParameter);
+  EXPECT_EQ(args.error()->detail,
+            "flag --util needs a value in (0, 1], got '1.5'");
 }
 
 TEST(ConfigurationFromArgs, SchemesAndFt) {
@@ -283,16 +288,21 @@ TEST(Dispatch, AvailabilityBothFamilies) {
   EXPECT_EQ(ir.exit_code, 0) << ir.err;
 }
 
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(NSREL_SOURCE_DIR) + "/tests/golden/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 TEST(Dispatch, ChainEmitsDot) {
+  // Byte for byte: state order, labels, edge order and rate rendering.
   const auto nir = run({"chain", "--scheme", "none", "--ft", "2"});
   EXPECT_EQ(nir.exit_code, 0) << nir.err;
-  EXPECT_NE(nir.out.find("digraph"), std::string::npos);
-  EXPECT_NE(nir.out.find("doublecircle"), std::string::npos);
-  // FT2-NIR has 7 transient states + "A": 8 node declarations.
-  EXPECT_NE(nir.out.find("label=\"Nd\""), std::string::npos);
+  EXPECT_EQ(nir.out, read_golden("chain_none_ft2.dot"));
   const auto ir = run({"chain", "--scheme", "raid5", "--ft", "3"});
   EXPECT_EQ(ir.exit_code, 0) << ir.err;
-  EXPECT_NE(ir.out.find("label=\"2_nodes_lost\""), std::string::npos);
+  EXPECT_EQ(ir.out, read_golden("chain_raid5_ft3.dot"));
 }
 
 // Accelerated system flags: short MTTFs keep trajectories to a handful
@@ -602,6 +612,52 @@ TEST(Dispatch, ScenarioNonNumericValueIsAUsageError) {
   const auto result = run_tokens({"scenario", "--file", path});
   expect_usage_error(result, "[sweep] from needs a number, got 'abc'");
   EXPECT_NE(result.err.find("scenario.ini"), std::string::npos);
+}
+
+// Out-of-domain system values are typed usage errors naming the flag or
+// key, raised before any model is built.
+
+TEST(Dispatch, NodeSetSizeZeroIsAUsageError) {
+  expect_usage_error(
+      run({"analyze", "--n", "0"}),
+      "flag --n needs an integer from 2 to 2147483647, got '0'");
+}
+
+TEST(Dispatch, UtilizationAboveOneIsAUsageError) {
+  expect_usage_error(run({"analyze", "--util", "1.5"}),
+                     "flag --util needs a value in (0, 1], got '1.5'");
+}
+
+TEST(Dispatch, SweepBeyondIntIsAUsageError) {
+  // 1e12 nodes cannot be cast to int: rejected before the grid is built.
+  expect_usage_error(
+      run({"sweep", "--param", "n", "--from", "10", "--to", "1e12",
+           "--steps", "3"}),
+      "flag --to puts n out of its domain (needs an integer from 2 to "
+      "2147483647), got '1e12'");
+}
+
+TEST(Dispatch, ScenarioNodeSetSizeZeroIsAUsageError) {
+  const std::string path = write_temp("n_zero.scenario", "[system]\nn = 0\n");
+  const auto result = run_tokens({"scenario", "--file", path});
+  expect_usage_error(
+      result, "[system] n needs an integer from 2 to 2147483647, got '0'");
+  EXPECT_NE(result.err.find("scenario.ini"), std::string::npos);
+}
+
+TEST(Dispatch, ScenarioJobsBeyondIntIsAUsageError) {
+  const std::string path =
+      write_temp("jobs_huge.scenario", "[output]\njobs = 1e999\n");
+  expect_usage_error(run_tokens({"scenario", "--file", path}),
+                     "[output] jobs needs an integer, got '1e999'");
+}
+
+TEST(Dispatch, ScenarioStepsBeyondIntIsAUsageError) {
+  const std::string path = write_temp(
+      "steps_huge.scenario",
+      "[sweep]\nparam = drive-mttf\nfrom = 1e5\nto = 3e5\nsteps = 1e999\n");
+  expect_usage_error(run_tokens({"scenario", "--file", path}),
+                     "[sweep] steps needs an integer, got '1e999'");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // normalization, method agreement, and target evaluation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/analyzer.hpp"
 #include "core/solve_cache.hpp"
 #include "util/assert.hpp"
@@ -163,6 +166,44 @@ TEST(SystemConfig, SetParameterAppliesCorrectFields) {
   EXPECT_DOUBLE_EQ(config.link.raw_speed.value(), 3e9);
   ASSERT_TRUE(set_parameter(config, "util", 0.6));
   EXPECT_DOUBLE_EQ(config.capacity_utilization, 0.6);
+}
+
+TEST(SystemConfig, SetParameterStoresZeroForCountsBeyondInt) {
+  // Casting 1e12 or NaN to int would be undefined behaviour; the count
+  // lands outside its domain instead, where domain_violation names it.
+  for (const char* name : {"n", "r", "d"}) {
+    for (const double value : {1e12, -1e12, std::nan("")}) {
+      SystemConfig config = SystemConfig::baseline();
+      ASSERT_TRUE(set_parameter(config, name, value)) << name;
+      const auto violation = domain_violation(config);
+      ASSERT_TRUE(violation.has_value()) << name << " = " << value;
+      // Zero nodes also breaks r <= n, but n comes first.
+      EXPECT_EQ(violation->parameter, name) << value;
+    }
+  }
+}
+
+TEST(SystemConfig, DomainViolationNamesTheFirstBadParameter) {
+  EXPECT_FALSE(domain_violation(SystemConfig::baseline()).has_value());
+  SystemConfig config = SystemConfig::baseline();
+  config.capacity_utilization = 1.5;
+  config.rebuild_bandwidth_fraction = 0.0;
+  const auto violation = domain_violation(config);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->parameter, "util");
+  EXPECT_EQ(violation->requirement, "needs a value in (0, 1]");
+  EXPECT_THROW(config.validate(), ContractViolation);
+
+  config = SystemConfig::baseline();
+  config.node_set_size = 4;  // below the baseline's r = 8
+  ASSERT_TRUE(domain_violation(config).has_value());
+  EXPECT_EQ(domain_violation(config)->parameter, "r");
+
+  EXPECT_EQ(sweep_end_violation(SystemConfig::baseline(), "n", 1e12),
+            "puts n out of its domain (needs an integer from 2 to "
+            "2147483647)");
+  EXPECT_FALSE(
+      sweep_end_violation(SystemConfig::baseline(), "n", 128.0).has_value());
 }
 
 TEST(Target, PaperTargetValue) {

@@ -14,7 +14,6 @@
 #include "ctmc/elimination.hpp"
 #include "ctmc/stationary.hpp"
 #include "ctmc/transient.hpp"
-#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -311,17 +310,6 @@ TEST(Elimination, MatchesLuOnSimpleChains) {
   EXPECT_NEAR(via_elimination, via_lu, 1e-10 * via_lu);
 }
 
-TEST(Elimination, MatrixOverloadMatchesChainOverload) {
-  const Chain c = repairable_pair(0.05, 3.0);
-  const double via_chain = EliminationSolver::mean_absorption_time_hours(c, 0);
-  // The CSR front end with the exact per-state absorption rates.
-  const std::vector<double> absorption = c.rates_into(c.absorbing_states()[0]);
-  const double via_matrix = EliminationSolver::mean_absorption_time_hours(
-      linalg::sparse::CsrMatrix::from_dense(c.absorption_matrix()),
-      absorption, 0);
-  EXPECT_NEAR(via_matrix, via_chain, 1e-12 * via_chain);
-}
-
 TEST(Elimination, SurvivesExtremeConditioning) {
   // A 3-state chain with MTTDL ~ mu^2/lambda^3 ~ 1e27: far beyond what LU
   // on the absorption matrix can resolve in doubles. Elimination must
@@ -350,11 +338,6 @@ TEST(Elimination, ValidatesInputs) {
   const Chain c = single_exponential(1.0);
   EXPECT_THROW((void)EliminationSolver::mean_absorption_time_hours(c, 1),
                ContractViolation);
-  const auto bad_diag =
-      linalg::sparse::CsrMatrix::from_dense(linalg::Matrix{{-1.0}});
-  EXPECT_THROW(
-      (void)EliminationSolver::mean_absorption_time_hours(bad_diag, {0.0}, 0),
-      ContractViolation);
 }
 
 TEST(Stationary, TwoStateFlowBalance) {

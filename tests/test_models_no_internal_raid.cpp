@@ -1,6 +1,7 @@
-// Tests for the no-internal-RAID models: the recursive chain construction
-// vs the appendix's block-recursive absorption matrix, exact-vs-closed-form
-// agreement, and structural properties of the failure-word state space.
+// Tests for the no-internal-RAID models: exact-vs-closed-form agreement,
+// the pinned failure-word chain, and structural properties of its state
+// space. The chain-vs-appendix-recursion check lives in the differential
+// harness (tests/test_diffharness.cpp).
 #include <algorithm>
 #include <bit>
 #include <cstddef>
@@ -66,33 +67,6 @@ TEST(NoInternalRaid, Ft1ChainMatchesFigure8Structure) {
                                               p.node_rebuild.value());
 }
 
-TEST(NoInternalRaid, ChainAndRecursiveMatrixAgreeEntrywise) {
-  // The two independent constructions (labeled transition tree vs the
-  // appendix's block recursion) must produce the same absorption matrix.
-  for (int k = 1; k <= 4; ++k) {
-    const NoInternalRaidModel model(baseline(k));
-    const auto from_chain = model.chain().absorption_matrix();
-    const auto from_recursion = model.absorption_matrix_recursive().to_dense();
-    ASSERT_EQ(from_chain.rows(), from_recursion.rows()) << "k=" << k;
-    const double scale = from_chain.max_abs();
-    for (std::size_t i = 0; i < from_chain.rows(); ++i) {
-      for (std::size_t j = 0; j < from_chain.cols(); ++j) {
-        EXPECT_NEAR(from_chain(i, j), from_recursion(i, j), 1e-12 * scale)
-            << "k=" << k << " (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(NoInternalRaid, ExactAndRecursiveMatrixMttdlAgree) {
-  for (int k = 1; k <= 5; ++k) {
-    const NoInternalRaidModel model(baseline(k));
-    const double via_chain = model.mttdl_exact().value();
-    const double via_matrix = model.mttdl_recursive_matrix().value();
-    EXPECT_NEAR(via_chain, via_matrix, 1e-8 * via_chain) << "k=" << k;
-  }
-}
-
 TEST(NoInternalRaid, ClosedFormTracksExactForFt2AndUp) {
   // FT >= 2 keeps all h_alpha well below 1, so the paper's linear
   // hard-error model and our saturated chains agree to a few percent.
@@ -154,10 +128,8 @@ TEST(NoInternalRaid, HighFaultToleranceStaysPositiveAndTracksTheorem) {
     p.redundancy_set_size = 12;
     const NoInternalRaidModel model(p);
     const double exact = model.mttdl_exact().value();
-    const double via_matrix = model.mttdl_recursive_matrix().value();
     const double theorem = model.mttdl_closed_form().value();
     EXPECT_GT(exact, 0.0) << "k=" << k;
-    EXPECT_NEAR(via_matrix, exact, 1e-8 * exact) << "k=" << k;
     EXPECT_NEAR(theorem, exact, 0.08 * exact) << "k=" << k;
   }
 }
@@ -218,15 +190,13 @@ TEST(NoInternalRaid, RejectsInvalidParameters) {
 
 TEST(NoInternalRaid, FaultToleranceCapBoundaryIsExactlySixteen) {
   // The documented cap is fault_tolerance <= 16 (a 2^17-1 = 131071-state
-  // absorption matrix). k = 16 must construct AND solve end to end on the
-  // recursive-matrix path; k = 17 is a contract violation at construction.
+  // absorption matrix). k = 16 must construct AND solve end to end;
+  // k = 17 is a contract violation at construction.
   NoInternalRaidParams p = baseline(16);
   p.redundancy_set_size = 32;  // R must exceed k
   const NoInternalRaidModel model(p);
-  const auto r = model.absorption_matrix_recursive();
-  EXPECT_EQ(r.rows(), (std::size_t{2} << 16) - 1);
-  EXPECT_EQ(model.absorption_rates_recursive().size(), r.rows());
-  const double mttdl = model.mttdl_recursive_matrix().value();
+  EXPECT_EQ(model.chain().transient_count(), (std::size_t{2} << 16) - 1);
+  const double mttdl = model.mttdl_exact().value();
   EXPECT_TRUE(std::isfinite(mttdl));
   EXPECT_GT(mttdl, 0.0);
 
@@ -330,14 +300,6 @@ TEST(NoInternalRaid, ChainTransitionsArePinned) {
     EXPECT_EQ(single, kSingle[k - 1]) << "single k=" << k;
     EXPECT_EQ(concurrent, kConcurrent[k - 1]) << "concurrent k=" << k;
   }
-}
-
-TEST(NoInternalRaid, MatrixPathsRejectConcurrentPolicy) {
-  NoInternalRaidParams p = baseline(2);
-  p.repair_policy = RepairPolicy::kConcurrent;
-  const NoInternalRaidModel model(p);
-  EXPECT_THROW((void)model.absorption_matrix_recursive(), ContractViolation);
-  EXPECT_THROW((void)model.mttdl_recursive_matrix(), ContractViolation);
 }
 
 TEST(NoInternalRaid, LRecursionValidatesInput) {

@@ -554,6 +554,9 @@ TEST(ObsBenchJson, WritesValidStableSchema) {
   EXPECT_NE(text.find("\"schema\": \"nsrel-bench-v1\""), std::string::npos);
   EXPECT_NE(text.find("\"binary\": \"unit_test_bench\""), std::string::npos);
   EXPECT_NE(text.find("\"git_sha\""), std::string::npos);
+  EXPECT_NE(text.find("\"cores\": " +
+                      std::to_string(std::thread::hardware_concurrency())),
+            std::string::npos);
   EXPECT_NE(text.find("\"name\": \"sweep:x\""), std::string::npos);
   EXPECT_NE(text.find("\"cells\": 27"), std::string::npos);
   EXPECT_NE(text.find("\"cpu_ns\": null"), std::string::npos);

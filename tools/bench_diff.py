@@ -10,7 +10,10 @@ baseline) or a regression in the caching/fan-out machinery.
 Timings are machine-dependent, so they only WARN: a benchmark slower
 than baseline by more than --warn-factor prints a warning but does not
 affect the exit code. CI uploads both documents as artifacts so a human
-can look at the trajectory.
+can look at the trajectory. Both documents' core counts (build.cores;
+"unknown" in baselines recorded before the field existed) are printed,
+and when they differ every timing warning is tagged, since --jobs
+scaling benches are not comparable across machines of different width.
 
 Exit codes: 0 clean (warnings allowed), 1 counter mismatch or
 missing/extra benchmark, 2 usage or unreadable/invalid input.
@@ -35,6 +38,11 @@ def load(path):
               file=sys.stderr)
         sys.exit(2)
     return doc
+
+
+def cores(doc):
+    """The recording machine's core count, or "unknown" when absent."""
+    return doc.get("build", {}).get("cores", "unknown")
 
 
 def by_name(doc):
@@ -78,6 +86,12 @@ def main():
               f"'{base_doc.get('binary')}', current is "
               f"'{cur_doc.get('binary')}'", file=sys.stderr)
         sys.exit(1)
+
+    base_cores = cores(base_doc)
+    cur_cores = cores(cur_doc)
+    print(f"bench_diff: cores: baseline {base_cores}, current {cur_cores}")
+    timing_tag = ("" if base_cores == cur_cores else
+                  f" [core count differs: {base_cores} vs {cur_cores}]")
 
     base = by_name(base_doc)
     cur = by_name(cur_doc)
@@ -123,7 +137,7 @@ def main():
         c_ns = c.get("real_ns", 0.0)
         if b_ns > 0 and c_ns > args.warn_factor * b_ns:
             print(f"WARN: {name}: real time {c_ns / b_ns:.2f}x baseline "
-                  f"({b_ns:.0f} ns -> {c_ns:.0f} ns)")
+                  f"({b_ns:.0f} ns -> {c_ns:.0f} ns){timing_tag}")
             warnings += 1
 
     total = len(set(base) & set(cur))
