@@ -1,9 +1,10 @@
 // Ablation (extension): exact MTTDL elasticities at the baseline point —
-// "% change in MTTDL per % change in each rate" — computed analytically
-// by ctmc::SensitivitySolver. This is the local, exact version of the
-// paper's section-7 sensitivity sweeps: one table shows at a glance which
-// knob each configuration actually responds to, and the row sums check
-// Euler's identity (homogeneity degree -1 in the rates).
+// "% change in MTTDL per % change in each rate" — computed by
+// ctmc::SensitivitySolver's complex-step differentiation. This is the
+// local, exact version of the paper's section-7 sensitivity sweeps: one
+// table shows at a glance which knob each configuration actually
+// responds to, and the row sums check Euler's identity (homogeneity
+// degree -1 in the rates).
 #include "bench_common.hpp"
 
 #include "ctmc/sensitivity.hpp"

@@ -14,7 +14,7 @@ namespace {
 using namespace nsrel;
 
 // A solver-heavy grid: ft=8 over r=12 gives a 511-state chain per cell,
-// so each of the 64 points costs a real LU solve.
+// so each of the 64 points costs a real elimination solve.
 engine::Grid heavy_grid() {
   core::SystemConfig base = core::SystemConfig::baseline();
   base.redundancy_set_size = 12;

@@ -409,6 +409,9 @@ int run_availability(const Args& args, std::ostream& out, std::ostream& err) {
   const core::Configuration configuration = configuration_from_args(args);
   const double restore_hours = args.get_double("restore-hours", 168.0);
   if (const int rc = check_unused(args, err); rc != 0) return rc;
+  if (!(std::isfinite(restore_hours) && restore_hours > 0.0)) {
+    args.reject_flag("restore-hours", "must be a finite number > 0");
+  }
 
   const core::Analyzer analyzer(sys);
   // Availability needs the underlying chain; the analyzer rebuilds it

@@ -63,7 +63,7 @@ class Analyzer {
   /// typed Error instead of an exception — out-of-range or non-finite
   /// system parameters as invalid_parameter, numerical failures in the
   /// chain solve with their original code (singular_generator,
-  /// ill_conditioned, non_finite_result), violated internal contracts as
+  /// non_finite_result), violated internal contracts as
   /// contract_violation, and non-finite derived metrics (MTTDL, events
   /// per PB-year) as non_finite_result. Failed solves are cached like
   /// successful ones, so a cache hit replays the error bit-identically.

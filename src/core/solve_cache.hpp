@@ -3,7 +3,7 @@
 // Many grid cells share the same underlying model: a swept parameter that
 // only touches normalization (or a different front-end re-evaluating the
 // same configuration) produces bit-identical NoInternalRaidParams /
-// InternalRaidParams, so re-running the LU/elimination solve is pure
+// InternalRaidParams, so re-running the elimination solve is pure
 // waste. The cache is keyed by the *exact bytes* of those parameter
 // structs (plus the solution method), so a hit is guaranteed to return
 // the same doubles a fresh solve would — caching never changes results,

@@ -2,83 +2,33 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <numeric>
-#include <string>
 #include <vector>
 
 #include "ctmc/elimination.hpp"
-#include "linalg/sparse/sparse_lu.hpp"
-#include "linalg/sparse/sparse_matrix.hpp"
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
-#include "util/assert.hpp"
-#include "util/format.hpp"
 #include "util/math.hpp"
 
 namespace nsrel::ctmc {
 
-namespace {
-
-/// Assembles R = -Q_B in CSR form straight from the transition list —
-/// the entries Chain::absorption_matrix holds, same per-cell
-/// accumulation order, without the n x n intermediate.
-linalg::sparse::CsrMatrix sparse_absorption_matrix(const Chain& chain) {
-  const auto transient = chain.transient_states();
-  const std::size_t n = transient.size();
-  std::vector<std::size_t> index(chain.state_count(), chain.state_count());
-  for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
-
-  std::vector<linalg::sparse::Triplet> triplets;
-  triplets.reserve(2 * chain.transitions().size());
-  for (const auto& t : chain.transitions()) {
-    const std::size_t from = index[t.from];
-    NSREL_ASSERT(from < n);
-    // Diagonal reflects ALL outflow, including flow into absorbing
-    // states; off-diagonals are negated transient-to-transient rates.
-    triplets.push_back({static_cast<std::uint32_t>(from),
-                        static_cast<std::uint32_t>(from), t.rate});
-    const std::size_t to = index[t.to];
-    if (to < n) {
-      triplets.push_back({static_cast<std::uint32_t>(from),
-                          static_cast<std::uint32_t>(to), -t.rate});
-    }
-  }
-  return linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
+AbsorbingAnalysis AbsorbingSolver::analyze(const Chain& chain,
+                                           StateId initial) {
+  return try_analyze(chain, initial).value_or_throw();
 }
 
-/// Everything downstream of the factorization: occupancy, MTTDL,
-/// phase-type stddev, absorption probabilities, and the final health
-/// check.
-[[nodiscard]] Expected<AbsorbingAnalysis> finish_analysis(
-    const Chain& chain, const linalg::sparse::SparseLu& lu,
-    const std::vector<double>& initial, const NumericalGuards& guards) {
-  if (lu.singular()) {
-    return Error{ErrorCode::kSingularGenerator, "ctmc.absorbing",
-                 "absorption matrix is numerically singular"};
-  }
-  const double rcond = lu.rcond_estimate();
-  if (rcond < guards.min_rcond) {
-    return Error{ErrorCode::kIllConditioned, "ctmc.absorbing",
-                 "absorption matrix rcond " + sci(rcond) +
-                     " below threshold " + sci(guards.min_rcond)};
-  }
+[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze(
+    const Chain& chain, StateId initial) {
+  const auto solved = EliminationSolver::try_analyze(chain, initial);
+  if (!solved.has_value()) return solved.error();
+  const EliminationAnalysis& elimination = solved.value();
 
   AbsorbingAnalysis result;
-  // tau^T R = pi0^T  <=>  R^T tau = pi0.
-  result.occupancy_hours = lu.solve_transposed(initial);
+  result.occupancy_hours = elimination.occupancy_hours;
+  result.mean_time_to_absorption_hours = elimination.mean_hours;
 
-  KahanSum total;
-  for (const double tau : result.occupancy_hours) total.add(tau);
-  result.mean_time_to_absorption_hours = total.value();
-
-  // m = R^{-1} 1: expected time to absorption from each transient state.
   // E[T^2] = 2 * sum_i tau_i * m_i (phase-type second moment).
-  const linalg::Vector ones(result.occupancy_hours.size(), 1.0);
-  const linalg::Vector m = lu.solve(ones);
   KahanSum second_moment;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    second_moment.add(2.0 * result.occupancy_hours[i] * m[i]);
+  for (std::size_t i = 0; i < result.occupancy_hours.size(); ++i) {
+    second_moment.add(2.0 * result.occupancy_hours[i] *
+                      elimination.mean_hours_from[i]);
   }
   const double variance =
       second_moment.value() - result.mean_time_to_absorption_hours *
@@ -96,12 +46,9 @@ linalg::sparse::CsrMatrix sparse_absorption_matrix(const Chain& chain) {
     result.absorption_probability.push_back(p.value());
   }
 
-  // Health check on everything the solve produced: a conditioning
-  // problem that slipped past the rcond estimate shows up here as NaN,
-  // infinity, or a negative mean time.
-  bool finite = std::isfinite(result.mean_time_to_absorption_hours) &&
-                result.mean_time_to_absorption_hours > 0.0 &&
-                std::isfinite(result.stddev_time_to_absorption_hours);
+  // Health check on everything the back substitution produced: an
+  // overflowing occupancy or second moment shows up as NaN or infinity.
+  bool finite = std::isfinite(result.stddev_time_to_absorption_hours);
   for (const double tau : result.occupancy_hours) {
     finite = finite && std::isfinite(tau);
   }
@@ -110,59 +57,12 @@ linalg::sparse::CsrMatrix sparse_absorption_matrix(const Chain& chain) {
   }
   if (!finite) {
     return Error{ErrorCode::kNonFiniteResult, "ctmc.absorbing",
-                 "absorption analysis produced a non-finite or nonpositive "
-                 "result"};
+                 "absorption analysis produced a non-finite result"};
   }
   return result;
 }
 
-}  // namespace
-
-AbsorbingAnalysis AbsorbingSolver::analyze(const Chain& chain,
-                                           StateId initial) {
-  return try_analyze(chain, initial).value_or_throw();
-}
-
-AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
-    const Chain& chain, const std::vector<double>& initial) {
-  return try_analyze_distribution(chain, initial).value_or_throw();
-}
-
-[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze(
-    const Chain& chain, StateId initial, const NumericalGuards& guards) {
-  NSREL_EXPECTS(initial < chain.state_count());
-  NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
-  const auto transient = chain.transient_states();
-  std::vector<double> pi0(transient.size(), 0.0);
-  for (std::size_t i = 0; i < transient.size(); ++i) {
-    if (transient[i] == initial) pi0[i] = 1.0;
-  }
-  return try_analyze_distribution(chain, pi0, guards);
-}
-
-[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze_distribution(
-    const Chain& chain, const std::vector<double>& initial,
-    const NumericalGuards& guards) {
-  const std::string defect = chain.validate();
-  NSREL_EXPECTS(defect.empty());
-  const auto transient = chain.transient_states();
-  NSREL_EXPECTS(initial.size() == transient.size());
-  NSREL_EXPECTS(approx_equal(
-      std::accumulate(initial.begin(), initial.end(), 0.0), 1.0, 1e-9));
-
-  obs::Span span(obs::probe::kSpanAbsorbingSolve,
-                 obs::probe::kSpanCategoryCtmc);
-  if (span.armed()) {
-    span.arg("states", static_cast<std::uint64_t>(transient.size()));
-  }
-  const linalg::sparse::SparseLu lu(sparse_absorption_matrix(chain));
-  return finish_analysis(chain, lu, initial, guards);
-}
-
 double AbsorbingSolver::mttdl_hours(const Chain& chain, StateId initial) {
-  // The GTH-style elimination path: identical to the LU route at normal
-  // conditioning, and still exact when MTTDL/rate ratios exceed double
-  // precision (where LU produces garbage, including negative times).
   return EliminationSolver::mean_absorption_time_hours(chain, initial);
 }
 

@@ -3,11 +3,12 @@
 // deviation of the absorption time.
 //
 // Method (paper appendix, after Trivedi): with B the transient states,
-// occupancy times tau solve tau_B * Q_B = -pi_B(0); then
-// MTTDL = sum_i tau_i = <pi0> * R^{-1} * <1,...,1>^t with R = -Q_B.
-// R is assembled in CSR form and factored by the sparse Markowitz LU;
-// the MTTDL alone (mttdl_hours) goes through the cancellation-free GTH
-// elimination instead.
+// occupancy times tau solve tau_B * Q_B = -pi_B(0), and
+// MTTDL = sum_i tau_i. Everything here comes from one cancellation-free
+// GTH elimination (elimination.hpp): the MTTDL is the kernel's c / ab,
+// and back substitution over the pivots it keeps gives tau and the mean
+// time m_i from every state, so E[T^2] = 2 * tau . m (phase-type second
+// moment) and P(absorb into a) = sum_i tau_i * rate(i -> a).
 #pragma once
 
 #include <vector>
@@ -22,7 +23,7 @@ struct AbsorbingAnalysis {
   /// indexed like Chain::transient_states(). Hours.
   std::vector<double> occupancy_hours;
 
-  /// Mean time to absorption = sum of occupancy times. Hours.
+  /// Mean time to absorption: bit-equal to mttdl_hours(). Hours.
   double mean_time_to_absorption_hours = 0.0;
 
   /// Standard deviation of the absorption time (phase-type second moment).
@@ -38,27 +39,18 @@ class AbsorbingSolver {
   /// Analyzes the chain starting from transient state `initial`
   /// (a full-state id; defaults to state 0).
   /// Preconditions: chain.validate() passes; `initial` is transient.
-  /// Numerical failures (singular or ill-conditioned absorption matrix,
-  /// non-finite results) throw ErrorException; use try_analyze to get
-  /// the typed error without an exception.
+  /// Numerical failures (a vanishing elimination pivot, non-finite
+  /// results) throw ErrorException; use try_analyze to get the typed
+  /// error without an exception.
   [[nodiscard]] static AbsorbingAnalysis analyze(const Chain& chain,
                                                  StateId initial = 0);
 
-  /// Same, with an arbitrary initial distribution over transient states
-  /// (indexed like Chain::transient_states(); must sum to ~1).
-  [[nodiscard]] static AbsorbingAnalysis analyze_distribution(
-      const Chain& chain, const std::vector<double>& initial);
-
-  /// Non-throwing forms: numerical-health failures come back as typed
-  /// errors (singular_generator, ill_conditioned below guards.min_rcond,
-  /// non_finite_result). Caller-bug preconditions (bad initial state,
-  /// size mismatch, invalid chain) still throw ContractViolation.
+  /// Non-throwing form: numerical-health failures come back as typed
+  /// errors (singular_generator, non_finite_result). Caller-bug
+  /// preconditions (bad initial state, invalid chain) still throw
+  /// ContractViolation.
   [[nodiscard]] static Expected<AbsorbingAnalysis> try_analyze(
-      const Chain& chain, StateId initial = 0,
-      const NumericalGuards& guards = {});
-  [[nodiscard]] static Expected<AbsorbingAnalysis> try_analyze_distribution(
-      const Chain& chain, const std::vector<double>& initial,
-      const NumericalGuards& guards = {});
+      const Chain& chain, StateId initial = 0);
 
   /// Convenience: just the MTTDL in hours from transient state `initial`.
   [[nodiscard]] static double mttdl_hours(const Chain& chain,

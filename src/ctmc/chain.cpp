@@ -77,38 +77,9 @@ std::vector<StateId> Chain::absorbing_states() const {
   return result;
 }
 
-linalg::Matrix Chain::generator() const {
-  const std::size_t n = states_.size();
-  linalg::Matrix q(n, n);
-  for (const auto& t : transitions_) {
-    q(t.from, t.to) += t.rate;
-    q(t.from, t.from) -= t.rate;
-  }
-  return q;
-}
-
-linalg::Matrix Chain::transient_generator() const {
-  const auto transient = transient_states();
-  // Map full state id -> transient index.
-  std::vector<std::size_t> index(states_.size(), states_.size());
-  for (std::size_t i = 0; i < transient.size(); ++i) index[transient[i]] = i;
-
-  linalg::Matrix qb(transient.size(), transient.size());
-  for (const auto& t : transitions_) {
-    const std::size_t from = index[t.from];
-    if (from == states_.size()) continue;  // from absorbing (cannot happen)
-    qb(from, from) -= t.rate;  // diagonal reflects ALL outflow, including
-                               // flow into absorbing states
-    const std::size_t to = index[t.to];
-    if (to != states_.size()) qb(from, to) += t.rate;
-  }
-  return qb;
-}
-
-linalg::Matrix Chain::absorption_matrix() const {
-  linalg::Matrix r = transient_generator();
-  r *= -1.0;
-  return r;
+const std::vector<std::size_t>& Chain::out_edges(StateId id) const {
+  NSREL_EXPECTS(id < states_.size());
+  return out_edges_[id];
 }
 
 std::vector<double> Chain::rates_into(StateId absorbing) const {

@@ -2,9 +2,9 @@
 //
 // A `Chain` is a labeled state space with exponential transition rates,
 // some states marked absorbing (data-loss states in this library's models).
-// The class exposes the infinitesimal generator Q, its restriction Q_B to
-// the transient (non-absorbing) states, and the paper appendix's
-// "absorption matrix" R = -Q_B.
+// It holds the generator Q only as its transition list and per-state
+// out-edge lists; the solvers (elimination.hpp, transient.hpp) read those
+// directly and never form a dense matrix.
 //
 // Assembly is linear in the chain's size: each state keeps the ids of its
 // outgoing transitions, so add_transition costs O(out-degree of `from`)
@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <string>
 #include <vector>
-
-#include "linalg/matrix.hpp"
 
 namespace nsrel::ctmc {
 
@@ -57,21 +55,14 @@ class Chain {
   /// Id of the state with the given label; throws if absent or ambiguous.
   [[nodiscard]] StateId find_state(const std::string& label) const;
 
-  /// Ids of transient states, in insertion order. This ordering defines the
-  /// rows/columns of transient_generator() and absorption_matrix().
+  /// Ids of transient states, in insertion order. This ordering indexes
+  /// every per-transient-state result (occupancy, rates_into()).
   [[nodiscard]] std::vector<StateId> transient_states() const;
   [[nodiscard]] std::vector<StateId> absorbing_states() const;
 
-  /// Full infinitesimal generator Q: off-diagonal entries are transition
-  /// rates, diagonal entries make each row sum to zero.
-  [[nodiscard]] linalg::Matrix generator() const;
-
-  /// Q_B: Q restricted to transient states.
-  [[nodiscard]] linalg::Matrix transient_generator() const;
-
-  /// R = -Q_B, the appendix's absorption matrix: positive diagonal,
-  /// non-positive off-diagonal entries.
-  [[nodiscard]] linalg::Matrix absorption_matrix() const;
+  /// Indices into transitions() of the state's outgoing transitions,
+  /// ascending (i.e. in transitions() order).
+  [[nodiscard]] const std::vector<std::size_t>& out_edges(StateId id) const;
 
   /// For each transient state (in transient_states() order), the total rate
   /// into the given absorbing state.

@@ -1,14 +1,36 @@
 #include "ctmc/sensitivity.hpp"
 
 #include <cmath>
-#include <cstddef>
+#include <complex>
 #include <vector>
 
-#include "linalg/lu.hpp"
+#include "ctmc/elimination.hpp"
 #include "util/assert.hpp"
-#include "util/format.hpp"
 
 namespace nsrel::ctmc {
+
+namespace {
+
+/// The complex step: small enough that h^2 terms vanish below the last
+/// bit of any real part, large enough that h times the smallest rate
+/// stays a normal double.
+constexpr double kStep = 1e-100;
+
+/// MTTA at theta = 1 + i*kStep: the selected rates times (1 + i*kStep).
+[[nodiscard]] Expected<std::complex<double>> complex_step_mtta(
+    const Chain& chain, StateId initial,
+    const SensitivitySolver::TransitionSelector& selector) {
+  NSREL_EXPECTS(selector != nullptr);
+  std::vector<std::complex<double>> rates;
+  rates.reserve(chain.transitions().size());
+  for (const auto& t : chain.transitions()) {
+    rates.emplace_back(t.rate, selector(t) ? t.rate * kStep : 0.0);
+  }
+  return EliminationSolver::try_mean_absorption_time_hours(chain, initial,
+                                                           rates);
+}
+
+}  // namespace
 
 double SensitivitySolver::mtta_derivative(const Chain& chain, StateId initial,
                                           const TransitionSelector& selector) {
@@ -16,48 +38,10 @@ double SensitivitySolver::mtta_derivative(const Chain& chain, StateId initial,
 }
 
 [[nodiscard]] Expected<double> SensitivitySolver::try_mtta_derivative(
-    const Chain& chain, StateId initial, const TransitionSelector& selector,
-    const NumericalGuards& guards) {
-  NSREL_EXPECTS(chain.validate().empty());
-  NSREL_EXPECTS(initial < chain.state_count());
-  NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
-  NSREL_EXPECTS(selector != nullptr);
-
-  const auto transient = chain.transient_states();
-  const std::size_t n = transient.size();
-  std::vector<std::size_t> index(chain.state_count(), n);
-  for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
-
-  const linalg::LuDecomposition lu(chain.absorption_matrix());
-  if (lu.singular()) {
-    return Error{ErrorCode::kSingularGenerator, "ctmc.sensitivity",
-                 "absorption matrix is numerically singular"};
-  }
-  const double rcond = lu.rcond_estimate();
-  if (rcond < guards.min_rcond) {
-    return Error{ErrorCode::kIllConditioned, "ctmc.sensitivity",
-                 "absorption matrix rcond " + sci(rcond) +
-                     " below threshold " + sci(guards.min_rcond)};
-  }
-
-  // m = R^{-1} 1 (mean absorption times), y = R^{-T} e_init.
-  const linalg::Vector m = lu.solve(linalg::Vector(n, 1.0));
-  linalg::Vector e_init(n, 0.0);
-  e_init[index[initial]] = 1.0;
-  const linalg::Vector y = lu.solve_transposed(e_init);
-
-  // dMTTA/dtheta = -y^T D m with D = dR/dtheta assembled on the fly.
-  double derivative = 0.0;
-  for (const auto& t : chain.transitions()) {
-    if (!selector(t)) continue;
-    const std::size_t from = index[t.from];
-    NSREL_ASSERT(from < n);
-    // Diagonal of R grows with the rate regardless of destination.
-    double contribution = y[from] * t.rate * m[from];
-    const std::size_t to = index[t.to];
-    if (to < n) contribution -= y[from] * t.rate * m[to];
-    derivative -= contribution;
-  }
+    const Chain& chain, StateId initial, const TransitionSelector& selector) {
+  const auto mtta = complex_step_mtta(chain, initial, selector);
+  if (!mtta.has_value()) return mtta.error();
+  const double derivative = mtta.value().imag() / kStep;
   if (!std::isfinite(derivative)) {
     return Error{ErrorCode::kNonFiniteResult, "ctmc.sensitivity",
                  "MTTA derivative is non-finite"};
@@ -71,28 +55,11 @@ double SensitivitySolver::mtta_elasticity(const Chain& chain, StateId initial,
 }
 
 [[nodiscard]] Expected<double> SensitivitySolver::try_mtta_elasticity(
-    const Chain& chain, StateId initial, const TransitionSelector& selector,
-    const NumericalGuards& guards) {
-  const auto derivative =
-      try_mtta_derivative(chain, initial, selector, guards);
-  if (!derivative.has_value()) return derivative.error();
-
-  const linalg::LuDecomposition lu(chain.absorption_matrix());
-  // try_mtta_derivative already screened singular/ill-conditioned.
-  NSREL_ASSERT(!lu.singular());
-  const auto transient = chain.transient_states();
-  std::size_t init_index = transient.size();
-  for (std::size_t i = 0; i < transient.size(); ++i) {
-    if (transient[i] == initial) init_index = i;
-  }
-  NSREL_EXPECTS(init_index < transient.size());
-  const linalg::Vector m = lu.solve(linalg::Vector(transient.size(), 1.0));
-  const double mtta = m[init_index];
-  if (!std::isfinite(mtta) || mtta == 0.0) {
-    return Error{ErrorCode::kNonFiniteResult, "ctmc.sensitivity",
-                 "MTTA is non-finite or zero, elasticity undefined"};
-  }
-  const double elasticity = derivative.value() / mtta;
+    const Chain& chain, StateId initial, const TransitionSelector& selector) {
+  const auto mtta = complex_step_mtta(chain, initial, selector);
+  if (!mtta.has_value()) return mtta.error();
+  const double elasticity =
+      mtta.value().imag() / kStep / mtta.value().real();
   if (!std::isfinite(elasticity)) {
     return Error{ErrorCode::kNonFiniteResult, "ctmc.sensitivity",
                  "MTTA elasticity is non-finite"};

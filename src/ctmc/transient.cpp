@@ -13,18 +13,18 @@ namespace nsrel::ctmc {
 
 TransientSolver::TransientSolver(const Chain& chain) : chain_(chain) {
   NSREL_EXPECTS(chain.state_count() > 0);
-  const linalg::Matrix q = chain.generator();
-  const std::size_t n = q.rows();
+  const std::size_t n = chain.state_count();
+  // q_ii, summed in transitions() order.
+  std::vector<double> q_diagonal(n, 0.0);
+  for (const auto& t : chain.transitions()) q_diagonal[t.from] -= t.rate;
   for (std::size_t i = 0; i < n; ++i) {
-    lambda_ = std::max(lambda_, -q(i, i));
+    lambda_ = std::max(lambda_, -q_diagonal[i]);
   }
   if (lambda_ == 0.0) lambda_ = 1.0;  // all-absorbing chain: P = I
-  p_ = linalg::Matrix::identity(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      p_(i, j) += q(i, j) / lambda_;
-    }
-  }
+  stay_.reserve(n);
+  for (const double q : q_diagonal) stay_.push_back(1.0 + q / lambda_);
+  jump_.reserve(chain.transitions().size());
+  for (const auto& t : chain.transitions()) jump_.push_back(t.rate / lambda_);
 }
 
 std::vector<double> TransientSolver::distribution_at(double t_hours,
@@ -60,12 +60,16 @@ std::vector<double> TransientSolver::distribution_at(double t_hours,
   for (std::size_t k = 0; k <= max_terms; ++k) {
     if (k > 0) {
       log_weight += std::log(a / static_cast<double>(k));
-      // v <- v * P (row vector times matrix).
+      // v <- v * P (row vector times matrix). Each state i adds at most
+      // one term to each next[j], in ascending i.
       std::vector<double> next(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
         const double vi = v[i];
         if (vi == 0.0) continue;
-        for (std::size_t j = 0; j < n; ++j) next[j] += vi * p_(i, j);
+        next[i] += vi * stay_[i];
+        for (const std::size_t edge : chain_.out_edges(i)) {
+          next[chain_.transitions()[edge].to] += vi * jump_[edge];
+        }
       }
       v = std::move(next);
     }
@@ -98,10 +102,7 @@ std::vector<double> TransientSolver::distribution_at(double t_hours,
 
 double TransientSolver::survival(double t_hours, StateId initial,
                                  double tol) const {
-  const std::vector<double> dist = distribution_at(t_hours, initial, tol);
-  double transient_mass = 0.0;
-  for (const StateId s : chain_.transient_states()) transient_mass += dist[s];
-  return transient_mass;
+  return try_survival(t_hours, initial, tol).value_or_throw();
 }
 
 std::vector<double> TransientSolver::survival_curve(

@@ -4,7 +4,11 @@
 // a matrix exponential: with Lambda >= max_i |Q_ii| and P = I + Q/Lambda,
 // pi(t) = sum_k Poisson(k; Lambda*t) * pi(0) * P^k, truncated when the
 // remaining Poisson tail is below a tolerance. Numerically robust because
-// every term is a probability vector.
+// every term is a probability vector. The product v * P runs over the
+// chain's out-edge lists, so time and memory are O(S + T) per term for S
+// states and T transitions; it adds the same products in the same order
+// as a dense n x n kernel would (skipping only its exact zeros), so the
+// distribution is bit-identical to the dense method.
 //
 // Used for survival curves R(t) = P(no data loss by time t) — a view the
 // closed-form MTTDL cannot give — and to cross-check MTTDL by integrating
@@ -63,8 +67,12 @@ class TransientSolver {
 
  private:
   const Chain& chain_;
-  linalg::Matrix p_;  // uniformized DTMC kernel
   double lambda_ = 0.0;
+  /// The uniformized kernel P = I + Q / Lambda: its diagonal
+  /// 1 + q_ii / Lambda per state, and rate / Lambda per transition
+  /// (indexed like chain_.transitions()).
+  std::vector<double> stay_;
+  std::vector<double> jump_;
 };
 
 }  // namespace nsrel::ctmc

@@ -8,7 +8,7 @@
 // same discipline as sim::run_trials). Chain solves are memoized through
 // core::SolveCache: cells whose swept parameter does not change the
 // underlying Markov model — and repeated configurations across sweeps
-// sharing a cache — skip the LU/elimination solve entirely, and a cache
+// sharing a cache — skip the elimination solve entirely, and a cache
 // hit is bit-identical to a fresh solve by construction.
 //
 // Fault isolation: a failing cell (singular chain, non-finite result,

@@ -1,60 +1,37 @@
 #include "models/availability.hpp"
 
+#include <cstddef>
 #include <vector>
 
-#include "ctmc/absorbing.hpp"
-#include "ctmc/stationary.hpp"
+#include "ctmc/elimination.hpp"
 #include "util/assert.hpp"
 
 namespace nsrel::models {
-
-ctmc::Chain AvailabilityModel::make_repairable(
-    const ctmc::Chain& absorbing_chain, ctmc::StateId healthy,
-    PerHour restore_rate) {
-  NSREL_EXPECTS(absorbing_chain.validate().empty());
-  NSREL_EXPECTS(healthy < absorbing_chain.state_count());
-  NSREL_EXPECTS(absorbing_chain.state(healthy).kind ==
-                ctmc::StateKind::kTransient);
-  NSREL_EXPECTS(restore_rate.value() > 0.0);
-
-  // Rebuild the chain with every state transient; former absorbing states
-  // get a restore transition back to the healthy state.
-  ctmc::Chain repairable;
-  for (ctmc::StateId s = 0; s < absorbing_chain.state_count(); ++s) {
-    repairable.add_state(absorbing_chain.state(s).label,
-                         ctmc::StateKind::kTransient);
-  }
-  for (const auto& t : absorbing_chain.transitions()) {
-    repairable.add_transition(t.from, t.to, t.rate);
-  }
-  for (const ctmc::StateId lost : absorbing_chain.absorbing_states()) {
-    repairable.add_transition(lost, healthy, restore_rate.value());
-  }
-  return repairable;
-}
 
 AvailabilityResult AvailabilityModel::analyze(
     const ctmc::Chain& absorbing_chain, ctmc::StateId healthy,
     Hours restore_time) {
   NSREL_EXPECTS(restore_time.value() > 0.0);
-  const ctmc::Chain repairable =
-      make_repairable(absorbing_chain, healthy, rate_of(restore_time));
-  const std::vector<double> pi =
-      ctmc::StationarySolver::distribution(repairable);
+  const ctmc::EliminationAnalysis analysis =
+      ctmc::EliminationSolver::try_analyze(absorbing_chain, healthy)
+          .value_or_throw();
 
   AvailabilityResult result;
-  result.mttdl = Hours(
-      ctmc::AbsorbingSolver::mttdl_hours(absorbing_chain, healthy));
-  // Lost fraction by the renewal-reward identity T_r / (MTTDL + T_r),
-  // from the cancellation-free GTH MTTDL: the stationary solve cannot
-  // resolve a lost-state probability below ~1e-16 (no-internal-RAID
-  // fault tolerance >= 5), while the identity stays exact.
-  const double lost_fraction =
-      restore_time.value() / (result.mttdl.value() + restore_time.value());
+  result.mttdl = Hours(analysis.mean_hours);
+  const double cycle = result.mttdl.value() + restore_time.value();
+  const double lost_fraction = restore_time.value() / cycle;
   result.availability = 1.0 - lost_fraction;
   result.downtime_minutes_per_year =
       lost_fraction * kHoursPerYear * 60.0;
-  result.degraded_fraction = 1.0 - lost_fraction - pi[healthy];
+  const std::vector<ctmc::StateId> transient =
+      absorbing_chain.transient_states();
+  double degraded_hours = 0.0;
+  for (std::size_t j = 0; j < transient.size(); ++j) {
+    if (transient[j] != healthy) {
+      degraded_hours += analysis.occupancy_hours[j];
+    }
+  }
+  result.degraded_fraction = degraded_hours / cycle;
   return result;
 }
 

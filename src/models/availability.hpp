@@ -5,14 +5,16 @@
 // so the operational questions become: what fraction of time is data
 // available (steady-state availability), how many minutes per year are
 // lost, and how much time does the system spend rebuilding (degraded
-// exposure)? This module turns any absorbing data-loss chain into its
-// repairable counterpart by adding a "restoring" state that returns to
-// full health at the restore rate. Renewal-reward gives the exact
-// identity
-//     A = MTTDL / (MTTDL + MTTR_restore),
-// which analyze() evaluates with the cancellation-free MTTDL (so the
-// downtime stays positive and accurate at any fault tolerance); the
-// degraded exposure comes from the stationary distribution.
+// exposure)? Each loss starts a restore of mean length T_r, after which
+// the system is back at full health: a renewal cycle of mean length
+// MTTDL + T_r. Renewal-reward then gives every long-run fraction from
+// the absorbing chain alone:
+//     lost fraction     = T_r / (MTTDL + T_r),   A = 1 - lost fraction,
+//     degraded fraction = sum_{j != healthy} tau_j / (MTTDL + T_r),
+// with MTTDL and the occupancy times tau from one cancellation-free GTH
+// elimination (ctmc/elimination.hpp). Both numerators are sums of
+// non-negative terms, so the downtime and the degraded share stay
+// positive and accurate at any fault tolerance.
 #pragma once
 
 #include "ctmc/chain.hpp"
@@ -31,15 +33,9 @@ struct AvailabilityResult {
 
 class AvailabilityModel {
  public:
-  /// Wraps an absorbing chain: every absorbing state becomes a
-  /// "restoring" state returning to `healthy` at `restore_rate`.
-  /// Preconditions: chain.validate() passes; healthy is transient;
-  /// restore_rate > 0.
-  [[nodiscard]] static ctmc::Chain make_repairable(
-      const ctmc::Chain& absorbing_chain, ctmc::StateId healthy,
-      PerHour restore_rate);
-
   /// Full availability analysis of the absorbing model + restore process.
+  /// Preconditions: chain.validate() passes; healthy is transient;
+  /// restore_time > 0.
   [[nodiscard]] static AvailabilityResult analyze(
       const ctmc::Chain& absorbing_chain, ctmc::StateId healthy,
       Hours restore_time);

@@ -63,11 +63,9 @@ inline constexpr const char* kSpanCategoryReport = "report";
 inline constexpr const char* kSpanCategoryRepair = "repair";
 
 inline constexpr const char* kSpanSolve = "solve";
-/// CTMC solver spans, each tagged with a "states" arg (the dimension
-/// the kernel ran on).
+/// The CTMC solver span (every GTH elimination), tagged with a "states"
+/// arg (the dimension the kernel ran on).
 inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
-inline constexpr const char* kSpanAbsorbingSolve = "absorbing_solve";
-inline constexpr const char* kSpanStationarySolve = "stationary_solve";
 inline constexpr const char* kSpanEvaluate = "evaluate";
 inline constexpr const char* kSpanCell = "cell";
 /// A Monte-Carlo grid cell: wraps the sim::run_trials call for one

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/system_config.hpp"
 #include "engine/engine.hpp"
 #include "engine/grid.hpp"
 #include "engine/render.hpp"
@@ -16,6 +17,7 @@
 #include "report/events_doc.hpp"
 #include "report/table.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace nsrel::scenario {
@@ -48,6 +50,62 @@ core::Configuration parse_configuration_token(const std::string& token) {
   return configuration;
 }
 
+namespace {
+
+/// "[sweep]" for axis 1, "[sweep.2]" for axis 2, ...
+std::string sweep_section(std::size_t axis) {
+  return axis == 1 ? "sweep" : "sweep." + std::to_string(axis);
+}
+
+/// Each axis's ends are checked alone while parsing, but a product of
+/// axes can still leave the domain through a constraint between two of
+/// them (r <= n). Walks every grid cell and throws the typed
+/// invalid_parameter error naming the axes and the first bad cell.
+void reject_out_of_domain_cells(const Scenario& scenario) {
+  const std::vector<Sweep>& sweeps = scenario.sweeps;
+  if (sweeps.size() < 2) return;
+  std::vector<std::vector<double>> values;
+  values.reserve(sweeps.size());
+  for (const Sweep& sweep : sweeps) {
+    values.push_back(engine::spaced_points(sweep.from, sweep.to, sweep.steps,
+                                           sweep.log_scale));
+  }
+  std::vector<std::size_t> index(sweeps.size(), 0);
+  for (bool more = true; more;) {
+    core::SystemConfig cell = scenario.system;
+    for (std::size_t a = 0; a < sweeps.size(); ++a) {
+      (void)core::set_parameter(cell, sweeps[a].parameter, values[a][index[a]]);
+    }
+    if (const auto violation = core::domain_violation(cell)) {
+      std::string detail;
+      std::string at;
+      for (std::size_t a = 0; a < sweeps.size(); ++a) {
+        const char* separator = a == 0 ? "" : " x ";
+        detail.append(separator).append("[").append(sweep_section(a + 1));
+        detail.append("] ").append(sweeps[a].parameter);
+        at.append(a == 0 ? "" : ", ").append(sweeps[a].parameter);
+        at.append(" = ").append(sci(values[a][index[a]], 4));
+      }
+      detail.append(" puts ").append(violation->parameter);
+      detail.append(" out of its domain (").append(violation->requirement);
+      detail.append(") at ").append(at);
+      throw ErrorException(
+          Error{ErrorCode::kInvalidParameter, "scenario.ini", detail});
+    }
+    // Odometer, last axis fastest.
+    more = false;
+    for (std::size_t a = sweeps.size(); a-- > 0;) {
+      if (++index[a] < values[a].size()) {
+        more = true;
+        break;
+      }
+      index[a] = 0;
+    }
+  }
+}
+
+}  // namespace
+
 Scenario parse_scenario(const std::string& text) {
   const IniDocument doc = IniDocument::parse(text);
   Scenario scenario;
@@ -75,8 +133,7 @@ Scenario parse_scenario(const std::string& text) {
   // [sweep], [sweep.2], [sweep.3], ... (optional; consecutive sections,
   // each one axis of a cartesian grid).
   for (std::size_t axis = 1;; ++axis) {
-    const std::string section =
-        axis == 1 ? "sweep" : "sweep." + std::to_string(axis);
+    const std::string section = sweep_section(axis);
     if (!doc.has_section(section)) break;
     Sweep sweep;
     sweep.parameter = doc.get(section, "param", "");
@@ -119,6 +176,7 @@ Scenario parse_scenario(const std::string& text) {
     }
     scenario.sweeps.push_back(sweep);
   }
+  reject_out_of_domain_cells(scenario);
 
   // [output].
   scenario.format =
@@ -145,9 +203,7 @@ Scenario parse_scenario(const std::string& text) {
     }
     bool consumed_sweep = false;
     for (std::size_t axis = 1; axis <= scenario.sweeps.size(); ++axis) {
-      const std::string section =
-          axis == 1 ? "sweep" : "sweep." + std::to_string(axis);
-      if (name == section) {
+      if (name == sweep_section(axis)) {
         consumed_sweep = true;
         break;
       }

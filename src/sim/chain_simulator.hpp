@@ -1,6 +1,6 @@
 // Trajectory sampler for any absorbing ctmc::Chain: an independent
-// numerical path to MTTDL that exercises none of the linear algebra, so it
-// cross-validates the AbsorbingSolver. estimate() routes through the
+// numerical path to MTTDL that shares nothing with the GTH elimination, so
+// it cross-validates the AbsorbingSolver. estimate() routes through the
 // shared parallel engine (sim/parallel.hpp) and is bit-identical for a
 // fixed seed regardless of options.jobs.
 #pragma once

@@ -25,8 +25,9 @@ namespace nsrel {
 /// change meaning:
 ///   singular_generator  - the chain's absorption/generator matrix is
 ///                         numerically singular (no solve exists)
-///   ill_conditioned     - the solve exists but rcond is below the
-///                         configured threshold; results would be noise
+///   ill_conditioned     - the solve exists but its results would be
+///                         noise (kept for stable rendering; the
+///                         cancellation-free GTH solver never raises it)
 ///   non_finite_result   - a produced value (MTTDL, rate, probability)
 ///                         is NaN/inf or out of its domain
 ///   invalid_parameter   - an input parameter is out of domain (zero or
@@ -131,15 +132,6 @@ class [[nodiscard]] Expected {
 
  private:
   std::variant<T, Error> data_;
-};
-
-/// Numerical-health thresholds shared by the solvers' try_* entry
-/// points. min_rcond rejects solves whose estimated reciprocal condition
-/// number says every double digit is noise; the default sits below the
-/// legitimately stiff chains the models produce (rcond ~1e-16 at FT3)
-/// and above outright garbage.
-struct NumericalGuards {
-  double min_rcond = 1e-18;
 };
 
 }  // namespace nsrel

@@ -12,7 +12,7 @@
 
 #include <vector>
 
-#include "linalg/sparse/sparse_matrix.hpp"
+#include "diffharness/sparse_matrix.hpp"
 #include "models/no_internal_raid.hpp"
 
 namespace nsrel::diffharness {

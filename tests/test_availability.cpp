@@ -1,13 +1,14 @@
-// Tests for the availability extension: the renewal-reward identity
-// A = MTTDL/(MTTDL + MTTR), structural properties of the repairable
-// chain, and plausibility at the paper's baseline.
+// Tests for the availability extension: the renewal-reward identities
+// A = MTTDL/(MTTDL + MTTR) and degraded = sum tau / (MTTDL + MTTR)
+// against a dense stationary solve of the restart chain, and
+// plausibility at the paper's baseline.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "ctmc/absorbing.hpp"
-#include "ctmc/stationary.hpp"
+#include "diffharness/dense_oracle.hpp"
 #include "models/availability.hpp"
 #include "models/internal_raid.hpp"
 #include "models/no_internal_raid.hpp"
@@ -27,23 +28,29 @@ ctmc::Chain simple_loss_chain(double lambda, double mu) {
   return c;
 }
 
-TEST(Availability, MakeRepairableStructure) {
-  const ctmc::Chain absorbing = simple_loss_chain(0.01, 1.0);
-  const ctmc::Chain repairable =
-      AvailabilityModel::make_repairable(absorbing, 0, PerHour(0.5));
-  EXPECT_EQ(repairable.state_count(), absorbing.state_count());
-  EXPECT_EQ(repairable.absorbing_count(), 0u);
-  // One extra transition: the restore edge.
-  EXPECT_EQ(repairable.transitions().size(),
-            absorbing.transitions().size() + 1);
-  EXPECT_DOUBLE_EQ(repairable.exit_rate(2), 0.5);
+/// The absorbing chain with its loss state restored to `ok` at
+/// 1 / restore_hours: the irreducible restart chain whose stationary
+/// distribution the renewal-reward identities predict.
+ctmc::Chain restart_chain(const ctmc::Chain& absorbing, double restore_hours) {
+  ctmc::Chain c;
+  for (ctmc::StateId s = 0; s < absorbing.state_count(); ++s) {
+    c.add_state(absorbing.state(s).label);
+  }
+  for (const auto& t : absorbing.transitions()) {
+    c.add_transition(t.from, t.to, t.rate);
+  }
+  for (const ctmc::StateId lost : absorbing.absorbing_states()) {
+    c.add_transition(lost, 0, 1.0 / restore_hours);
+  }
+  return c;
 }
 
 TEST(Availability, RenewalRewardIdentityHoldsExactly) {
   // A = MTTDL / (MTTDL + restore_time): cycles of up-time (mean MTTDL)
-  // and down-time (mean restore_time) renew at each restore. On this
-  // well-conditioned chain the stationary distribution of the
-  // repairable chain resolves the lost state too, and must agree.
+  // and down-time (mean restore_time) renew at each restore; the
+  // degraded share is the cycle's expected degraded time over its
+  // length. On this well-conditioned chain a dense stationary solve of
+  // the restart chain resolves every state, and must agree.
   for (const double restore_hours : {1.0, 24.0, 720.0}) {
     const ctmc::Chain absorbing = simple_loss_chain(0.01, 1.0);
     const double mttdl = ctmc::AbsorbingSolver::mttdl_hours(absorbing, 0);
@@ -53,10 +60,12 @@ TEST(Availability, RenewalRewardIdentityHoldsExactly) {
     EXPECT_NEAR(result.availability, expected, 1e-9 * expected)
         << restore_hours;
     EXPECT_NEAR(result.mttdl.value(), mttdl, 1e-9 * mttdl);
-    const std::vector<double> pi = ctmc::StationarySolver::distribution(
-        AvailabilityModel::make_repairable(absorbing, 0,
-                                           rate_of(Hours(restore_hours))));
-    EXPECT_NEAR(1.0 - pi[2], expected, 1e-9 * expected) << restore_hours;
+    const auto pi = diffharness::stationary_distribution(
+        restart_chain(absorbing, restore_hours));
+    ASSERT_TRUE(pi.has_value());
+    EXPECT_NEAR(1.0 - (*pi)[2], expected, 1e-9 * expected) << restore_hours;
+    EXPECT_NEAR(result.degraded_fraction, (*pi)[1], 1e-9 * (*pi)[1])
+        << restore_hours;
   }
 }
 
@@ -152,12 +161,10 @@ TEST(Availability, ShorterRestoreImprovesAvailability) {
 
 TEST(Availability, ValidatesInputs) {
   const ctmc::Chain absorbing = simple_loss_chain(0.01, 1.0);
-  EXPECT_THROW(
-      (void)AvailabilityModel::make_repairable(absorbing, 2, PerHour(1.0)),
-      ContractViolation);
-  EXPECT_THROW(
-      (void)AvailabilityModel::make_repairable(absorbing, 0, PerHour(0.0)),
-      ContractViolation);
+  EXPECT_THROW((void)AvailabilityModel::analyze(absorbing, 2, Hours(1.0)),
+               ContractViolation);
+  EXPECT_THROW((void)AvailabilityModel::analyze(absorbing, 3, Hours(1.0)),
+               ContractViolation);
   EXPECT_THROW((void)AvailabilityModel::analyze(absorbing, 0, Hours(0.0)),
                ContractViolation);
 }

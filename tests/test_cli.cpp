@@ -494,6 +494,33 @@ CommandResult run_tokens(const std::vector<std::string>& tokens) {
   return {code, out.str(), err.str()};
 }
 
+TEST(Dispatch, AvailabilityMatchesGolden) {
+  // Byte for byte over NIR ft 1..12 (r = 20) and RAID 5/6 ft 1..3, the
+  // outputs concatenated in that order. Regenerate with:
+  //   (for ft in $(seq 1 12); do
+  //      nsrel availability --scheme none --ft $ft --r 20; done
+  //    for s in raid5 raid6; do for ft in 1 2 3; do
+  //      nsrel availability --scheme $s --ft $ft; done; done)
+  //   > tests/golden/availability.golden
+  std::string all;
+  for (int ft = 1; ft <= 12; ++ft) {
+    const std::string level = std::to_string(ft);
+    const auto result = run_tokens({"availability", "--scheme", "none",
+                                    "--ft", level, "--r", "20"});
+    EXPECT_EQ(result.exit_code, 0) << result.err;
+    all += result.out;
+  }
+  for (const char* scheme : {"raid5", "raid6"}) {
+    for (const char* ft : {"1", "2", "3"}) {
+      const auto result =
+          run({"availability", "--scheme", scheme, "--ft", ft});
+      EXPECT_EQ(result.exit_code, 0) << result.err;
+      all += result.out;
+    }
+  }
+  EXPECT_EQ(all, read_golden("availability.golden"));
+}
+
 TEST(Diff, SelfCompareOfJobsVariantsExitsClean) {
   const auto serial =
       run({"sweep", "--param", "drive-mttf", "--from", "1e5", "--to", "7.5e5",
@@ -644,6 +671,45 @@ TEST(Dispatch, ScenarioNodeSetSizeZeroIsAUsageError) {
       result, "[system] n needs an integer from 2 to 2147483647, got '0'");
   EXPECT_NE(result.err.find("scenario.ini"), std::string::npos);
 }
+
+TEST(Dispatch, ScenarioProductCellOutsideTheDomainIsAUsageError) {
+  // n 10..16 and r 8..16 each pass alone; their product holds r > n.
+  const std::string path = write_temp(
+      "n_x_r.scenario",
+      "[configurations]\nlist = none-ft2\n"
+      "[sweep]\nparam = n\nfrom = 10\nto = 16\nsteps = 3\nscale = linear\n"
+      "[sweep.2]\nparam = r\nfrom = 8\nto = 16\nsteps = 3\n"
+      "scale = linear\n");
+  const auto result = run_tokens({"scenario", "--file", path});
+  expect_usage_error(result,
+                     "[sweep] n x [sweep.2] r puts r out of its domain "
+                     "(needs an integer from 2 to n) at n = 1.000e+01, "
+                     "r = 1.200e+01");
+  EXPECT_NE(result.err.find("scenario.ini"), std::string::npos);
+}
+
+/// --restore-hours values that are not a finite number > 0.
+class RestoreHoursTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RestoreHoursTest, NonPositiveOrNonFiniteIsAUsageError) {
+  expect_usage_error(run({"availability", "--scheme", "none", "--ft", "2",
+                          "--restore-hours", GetParam()}),
+                     std::string("flag --restore-hours must be a finite "
+                                 "number > 0, got '")
+                         .append(GetParam())
+                         .append("'"));
+}
+
+std::string restore_hours_case(
+    const ::testing::TestParamInfo<const char*>& value) {
+  constexpr const char* kNames[] = {"Zero", "Negative", "NaN", "Inf",
+                                    "Overflow"};
+  return kNames[value.index];
+}
+
+INSTANTIATE_TEST_SUITE_P(HostileValues, RestoreHoursTest,
+                         ::testing::Values("0", "-5", "nan", "inf", "1e400"),
+                         restore_hours_case);
 
 TEST(Dispatch, ScenarioJobsBeyondIntIsAUsageError) {
   const std::string path =

@@ -1,6 +1,7 @@
-// Tests for the CTMC substrate: chain construction, absorbing analysis
-// (against closed forms for small chains), transient uniformization
-// (against analytic exponentials), and the stationary solver.
+// Tests for the CTMC substrate: chain construction (and the dense
+// generator oracles built from it), absorbing analysis (against closed
+// forms for small chains and the dense LU oracle), and transient
+// uniformization (against analytic exponentials).
 #include <cstddef>
 #include <gtest/gtest.h>
 
@@ -12,8 +13,9 @@
 #include "ctmc/absorbing.hpp"
 #include "ctmc/chain.hpp"
 #include "ctmc/elimination.hpp"
-#include "ctmc/stationary.hpp"
 #include "ctmc/transient.hpp"
+#include "diffharness/dense_oracle.hpp"
+#include "diffharness/lu.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -109,7 +111,7 @@ TEST(Chain, FindStateThrowsOnMissingOrDuplicate) {
 
 TEST(Chain, GeneratorRowsSumToZero) {
   const Chain c = repairable_pair(0.1, 5.0);
-  const auto q = c.generator();
+  const auto q = diffharness::generator(c);
   for (std::size_t i = 0; i < q.rows(); ++i) {
     double sum = 0.0;
     for (std::size_t j = 0; j < q.cols(); ++j) sum += q(i, j);
@@ -119,7 +121,7 @@ TEST(Chain, GeneratorRowsSumToZero) {
 
 TEST(Chain, TransientGeneratorDiagonalIncludesAbsorbingOutflow) {
   const Chain c = repairable_pair(0.1, 5.0);
-  const auto qb = c.transient_generator();
+  const auto qb = diffharness::transient_generator(c);
   ASSERT_EQ(qb.rows(), 2u);
   EXPECT_DOUBLE_EQ(qb(0, 0), -0.2);
   EXPECT_DOUBLE_EQ(qb(1, 1), -(5.0 + 0.1));  // repair + absorbing outflow
@@ -127,8 +129,8 @@ TEST(Chain, TransientGeneratorDiagonalIncludesAbsorbingOutflow) {
 
 TEST(Chain, AbsorptionMatrixIsNegatedTransientGenerator) {
   const Chain c = repairable_pair(0.2, 3.0);
-  const auto r = c.absorption_matrix();
-  const auto qb = c.transient_generator();
+  const auto r = diffharness::absorption_matrix(c);
+  const auto qb = diffharness::transient_generator(c);
   for (std::size_t i = 0; i < r.rows(); ++i) {
     for (std::size_t j = 0; j < r.cols(); ++j) {
       EXPECT_DOUBLE_EQ(r(i, j), -qb(i, j));
@@ -225,28 +227,9 @@ TEST(Absorbing, CompetingAbsorbingStatesSplitProportionally) {
   EXPECT_NEAR(analysis.mean_time_to_absorption_hours, 0.25, 1e-12);
 }
 
-TEST(Absorbing, InitialDistributionWeighting) {
-  Chain c;
-  const StateId fast = c.add_state("fast");
-  const StateId slow = c.add_state("slow");
-  const StateId done = c.add_state("done", StateKind::kAbsorbing);
-  c.add_transition(fast, done, 10.0);
-  c.add_transition(slow, done, 1.0);
-  const auto analysis =
-      AbsorbingSolver::analyze_distribution(c, {0.5, 0.5});
-  EXPECT_NEAR(analysis.mean_time_to_absorption_hours, 0.5 * 0.1 + 0.5 * 1.0,
-              1e-12);
-}
-
 TEST(Absorbing, RejectsAbsorbingInitialState) {
   const Chain c = single_exponential(1.0);
   EXPECT_THROW((void)AbsorbingSolver::analyze(c, 1), ContractViolation);
-}
-
-TEST(Absorbing, RejectsUnnormalizedDistribution) {
-  const Chain c = single_exponential(1.0);
-  EXPECT_THROW((void)AbsorbingSolver::analyze_distribution(c, {0.5}),
-               ContractViolation);
 }
 
 TEST(Transient, SurvivalMatchesAnalyticExponential) {
@@ -303,8 +286,8 @@ TEST(Elimination, MatchesLuOnSimpleChains) {
   EXPECT_NEAR(EliminationSolver::mean_absorption_time_hours(single, 0), 4.0,
               1e-12);
   const Chain pair = repairable_pair(0.01, 10.0);
-  const double via_lu =
-      AbsorbingSolver::analyze(pair).mean_time_to_absorption_hours;
+  const linalg::LuDecomposition lu(diffharness::absorption_matrix(pair));
+  const double via_lu = lu.solve(linalg::Vector(2, 1.0))[0];
   const double via_elimination =
       EliminationSolver::mean_absorption_time_hours(pair, 0);
   EXPECT_NEAR(via_elimination, via_lu, 1e-10 * via_lu);
@@ -340,101 +323,75 @@ TEST(Elimination, ValidatesInputs) {
                ContractViolation);
 }
 
-TEST(Stationary, TwoStateFlowBalance) {
-  Chain c;
-  const StateId up = c.add_state("up");
-  const StateId down = c.add_state("down");
-  c.add_transition(up, down, 1.0);
-  c.add_transition(down, up, 4.0);
-  const auto pi = StationarySolver::distribution(c);
-  EXPECT_NEAR(pi[up], 0.8, 1e-12);
-  EXPECT_NEAR(pi[down], 0.2, 1e-12);
-  EXPECT_NEAR(StationarySolver::occupancy(c, {up}), 0.8, 1e-12);
-}
-
-TEST(Stationary, BirthDeathMatchesDetailedBalance) {
-  // 3-state birth-death: pi_i proportional to prod(lambda/mu).
+/// The stiff 3-state chain of SurvivesExtremeConditioning: MTTDL ~ 1.7e26.
+Chain stiff_chain() {
   Chain c;
   const StateId s0 = c.add_state("0");
   const StateId s1 = c.add_state("1");
   const StateId s2 = c.add_state("2");
-  const double lambda = 2.0;
-  const double mu = 5.0;
-  c.add_transition(s0, s1, lambda);
-  c.add_transition(s1, s2, lambda);
-  c.add_transition(s1, s0, mu);
-  c.add_transition(s2, s1, mu);
-  const auto pi = StationarySolver::distribution(c);
-  const double rho = lambda / mu;
-  const double z = 1.0 + rho + rho * rho;
-  EXPECT_NEAR(pi[s0], 1.0 / z, 1e-12);
-  EXPECT_NEAR(pi[s1], rho / z, 1e-12);
-  EXPECT_NEAR(pi[s2], rho * rho / z, 1e-12);
+  const StateId loss = c.add_state("loss", StateKind::kAbsorbing);
+  c.add_transition(s0, s1, 3e-9);
+  c.add_transition(s1, s2, 2e-9);
+  c.add_transition(s2, loss, 1e-9);
+  c.add_transition(s1, s0, 1.0);
+  c.add_transition(s2, s1, 1.0);
+  return c;
 }
 
-TEST(Stationary, RejectsAbsorbingStates) {
-  const Chain c = single_exponential(1.0);
-  EXPECT_THROW((void)StationarySolver::distribution(c), ContractViolation);
-}
-
-// ---------------------------------------------------------------------
-// Typed-error (try_) forms: numerical failures come back as Error
-// values with stable codes, and the throwing forms wrap exactly them.
-
-TEST(Stationary, TryDistributionFlagsReducibleChainAsSingular) {
-  // Two disconnected recurrent components: the stationary distribution
-  // is not unique, so the (normalized) linear system is singular.
-  Chain c;
-  const StateId a = c.add_state("a");
-  const StateId b = c.add_state("b");
-  const StateId x = c.add_state("x");
-  const StateId y = c.add_state("y");
-  c.add_transition(a, b, 1.0);
-  c.add_transition(b, a, 1.0);
-  c.add_transition(x, y, 1.0);
-  c.add_transition(y, x, 1.0);
-  const auto result = StationarySolver::try_distribution(c);
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, ErrorCode::kSingularGenerator);
-  EXPECT_EQ(result.error().layer, "ctmc.stationary");
-  // The throwing form surfaces the same typed error as an exception.
-  EXPECT_THROW((void)StationarySolver::distribution(c), ErrorException);
-}
-
-TEST(Stationary, TryDistributionMatchesThrowingFormOnHealthyChains) {
-  Chain c;
-  const StateId up = c.add_state("up");
-  const StateId down = c.add_state("down");
-  c.add_transition(up, down, 1.0);
-  c.add_transition(down, up, 4.0);
-  const auto result = StationarySolver::try_distribution(c);
-  ASSERT_TRUE(result.has_value());
-  const auto direct = StationarySolver::distribution(c);
-  ASSERT_EQ(result.value().size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(result.value()[i], direct[i]);
+TEST(Elimination, BackSubstitutionMatchesPerStateSolves) {
+  // m_s from one elimination's back substitution against a separate
+  // elimination started at s, on a chain with back edges and fill-in
+  // and on the stiff chain no LU can resolve.
+  Chain mesh;
+  for (int i = 0; i < 5; ++i) {
+    mesh.add_state(std::string("t").append(std::to_string(i)));
+  }
+  const StateId loss = mesh.add_state("loss", StateKind::kAbsorbing);
+  for (StateId i = 0; i < 5; ++i) {
+    for (StateId j = 0; j < 5; ++j) {
+      if (i != j) {
+        mesh.add_transition(i, j, 0.5 + 0.25 * static_cast<double>(i + 2 * j));
+      }
+    }
+  }
+  mesh.add_transition(4, loss, 0.01);
+  mesh.add_transition(2, loss, 0.002);
+  for (const Chain& c : {mesh, stiff_chain()}) {
+    for (StateId initial = 0; initial + 1 < c.state_count(); ++initial) {
+      const auto analysis = EliminationSolver::try_analyze(c, initial);
+      ASSERT_TRUE(analysis.has_value());
+      EXPECT_EQ(analysis.value().mean_hours,
+                EliminationSolver::mean_absorption_time_hours(c, initial));
+      for (StateId s = 0; s + 1 < c.state_count(); ++s) {
+        const double direct =
+            EliminationSolver::mean_absorption_time_hours(c, s);
+        EXPECT_NEAR(analysis.value().mean_hours_from[s], direct,
+                    1e-14 * direct)
+            << "initial " << initial << " state " << s;
+      }
+    }
   }
 }
 
-TEST(Absorbing, TryAnalyzeEnforcesTheRcondGuard) {
-  // The repairable pair is perfectly well conditioned, so the default
-  // guard passes; an artificially strict threshold trips the typed
-  // ill_conditioned error without touching exception paths.
-  const Chain c = repairable_pair(1e-4, 1.0);
-  const auto healthy = AbsorbingSolver::try_analyze(c, 0);
-  ASSERT_TRUE(healthy.has_value());
-  EXPECT_EQ(healthy.value().mean_time_to_absorption_hours,
-            AbsorbingSolver::analyze(c, 0).mean_time_to_absorption_hours);
-
-  NumericalGuards strict;
-  strict.min_rcond = 1.0;  // nothing short of the identity passes
-  const auto flagged = AbsorbingSolver::try_analyze(c, 0, strict);
-  ASSERT_FALSE(flagged.has_value());
-  EXPECT_EQ(flagged.error().code, ErrorCode::kIllConditioned);
-  EXPECT_EQ(flagged.error().layer, "ctmc.absorbing");
-  // The detail names both the estimate and the threshold it missed.
-  EXPECT_NE(flagged.error().detail.find("rcond"), std::string::npos);
-  EXPECT_NE(flagged.error().detail.find("threshold"), std::string::npos);
+TEST(Absorbing, AnalysisSurvivesExtremeConditioning) {
+  // Occupancy, second moment and absorption split come from the same
+  // cancellation-free elimination as the MTTDL: at MTTDL ~ 1.7e26 they
+  // stay exact. Nearly all time is spent in state 0, and the absorption
+  // time is nearly exponential (stddev ~ mean).
+  const Chain c = stiff_chain();
+  const auto analysis = AbsorbingSolver::analyze(c, 0);
+  const double mean = analysis.mean_time_to_absorption_hours;
+  EXPECT_EQ(mean, AbsorbingSolver::mttdl_hours(c, 0));
+  double sum = 0.0;
+  for (const double tau : analysis.occupancy_hours) {
+    EXPECT_GT(tau, 0.0);
+    sum += tau;
+  }
+  EXPECT_NEAR(sum, mean, 1e-14 * mean);
+  EXPECT_NEAR(analysis.occupancy_hours[0], mean, 1e-8 * mean);
+  EXPECT_NEAR(analysis.stddev_time_to_absorption_hours, mean, 1e-7 * mean);
+  ASSERT_EQ(analysis.absorption_probability.size(), 1u);
+  EXPECT_NEAR(analysis.absorption_probability[0], 1.0, 1e-14);
 }
 
 TEST(Absorbing, TryAnalyzeKeepsPreconditionsAsContracts) {
@@ -442,9 +399,7 @@ TEST(Absorbing, TryAnalyzeKeepsPreconditionsAsContracts) {
   // errors are reserved for data-dependent numerical failures.
   const Chain c = single_exponential(1.0);
   EXPECT_THROW((void)AbsorbingSolver::try_analyze(c, 1), ContractViolation);
-  EXPECT_THROW(
-      (void)AbsorbingSolver::try_analyze_distribution(c, {0.5, 0.2}),
-      ContractViolation);
+  EXPECT_THROW((void)AbsorbingSolver::try_analyze(c, 7), ContractViolation);
 }
 
 TEST(Elimination, TryFormMatchesThrowingFormBitwise) {

@@ -1,7 +1,7 @@
 // Property tests over RANDOM absorbing chains: the three solution paths
-// (LU analysis, GTH elimination, trajectory simulation) and the transient
-// solver must agree on chains they were never hand-tuned for. Also covers
-// the DOT exporter.
+// (the dense LU oracle, GTH elimination, trajectory simulation) and the
+// transient solver must agree on chains they were never hand-tuned for.
+// Also covers the DOT exporter.
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include "ctmc/dot.hpp"
 #include "ctmc/elimination.hpp"
 #include "ctmc/transient.hpp"
+#include "diffharness/dense_oracle.hpp"
+#include "diffharness/lu.hpp"
 #include "sim/chain_simulator.hpp"
 #include "util/rng.hpp"
 
@@ -56,8 +58,9 @@ TEST_P(RandomChainTest, LuAndEliminationAgree) {
   Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
   const Chain c = random_chain(3 + rng.below(10), rng);
   ASSERT_TRUE(c.validate().empty());
+  const linalg::LuDecomposition lu(diffharness::absorption_matrix(c));
   const double via_lu =
-      AbsorbingSolver::analyze(c, 0).mean_time_to_absorption_hours;
+      lu.solve(linalg::Vector(c.transient_count(), 1.0))[0];
   const double via_elimination =
       EliminationSolver::mean_absorption_time_hours(c, 0);
   EXPECT_NEAR(via_elimination, via_lu, 1e-9 * via_lu);

@@ -12,8 +12,10 @@
 //   2. The MTTDL bits of the paper's models are pinned: hexfloat values
 //      recorded before the dense/sparse solver twins were collapsed into
 //      one kernel must still come out exactly.
-//   3. The sparse LU behind the occupancy/stationary analyses agrees
-//      with the dense LU oracle to the same stated bound.
+//   3. The kernel's back substitution (occupancy, standard deviation,
+//      absorption split) agrees with the dense LU oracle to the same
+//      stated bound, and the out-edge uniformization is bit-identical
+//      to the dense one (diffharness/dense_oracle.*).
 //   4. Degenerate systems (trapped states) fail with a typed
 //      singular_generator error instead of a garbage mean, identical
 //      from the throwing and the try_ entry points.
@@ -33,11 +35,12 @@
 #include "core/analyzer.hpp"
 #include "ctmc/absorbing.hpp"
 #include "ctmc/elimination.hpp"
-#include "ctmc/stationary.hpp"
+#include "ctmc/transient.hpp"
 #include "diffharness/appendix_oracle.hpp"
 #include "diffharness/chain_generator.hpp"
+#include "diffharness/dense_oracle.hpp"
 #include "diffharness/diff_runner.hpp"
-#include "linalg/lu.hpp"
+#include "diffharness/lu.hpp"
 #include "models/no_internal_raid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"
@@ -83,7 +86,7 @@ bool expect_gth_matches(const ctmc::Chain& chain, ctmc::StateId initial,
     registry.add(registry.counter(obs::probe::kDiffHarnessChains));
   }
 
-  const linalg::LuDecomposition oracle(chain.absorption_matrix());
+  const linalg::LuDecomposition oracle(diffharness::absorption_matrix(chain));
   if (oracle.singular() || oracle.rcond_estimate() < kOracleMinRcond) {
     return false;
   }
@@ -109,7 +112,7 @@ void expect_matches_appendix(const models::NoInternalRaidModel& model,
   const ctmc::Chain chain = model.chain();
   const diffharness::AppendixSystem oracle =
       diffharness::appendix_system(model);
-  const linalg::Matrix from_chain = chain.absorption_matrix();
+  const linalg::Matrix from_chain = diffharness::absorption_matrix(chain);
   const linalg::Matrix from_recursion = oracle.r.to_dense();
   ASSERT_EQ(from_recursion.rows(), from_chain.rows()) << what;
   for (std::size_t i = 0; i < from_chain.rows(); ++i) {
@@ -295,7 +298,7 @@ TEST(DiffHarness, InternalRaidMttdlBitsArePinned) {
   }
 }
 
-// --- claim 3: the sparse LU agrees with the dense oracle --------------
+// --- claim 3: back substitution and uniformization against the oracle -
 
 TEST(DiffHarness, AbsorbingLuBackendsAgreeToStatedBound) {
   DiffStats stats;
@@ -305,14 +308,18 @@ TEST(DiffHarness, AbsorbingLuBackendsAgreeToStatedBound) {
     const std::size_t absorbing = 1 + rng.below(3);
     const ctmc::Chain chain =
         diffharness::random_absorbing(rng, transient, absorbing, 0.2);
-    const linalg::LuDecomposition oracle(chain.absorption_matrix());
-    const auto sparse = ctmc::AbsorbingSolver::try_analyze(chain, 0);
-    ASSERT_EQ(!oracle.singular(), sparse.has_value()) << "seed " << seed;
-    if (!sparse.has_value()) continue;
-    const auto& s = sparse.value();
+    const linalg::LuDecomposition oracle(
+        diffharness::absorption_matrix(chain));
+    const auto gth = ctmc::AbsorbingSolver::try_analyze(chain, 0);
+    ASSERT_EQ(!oracle.singular(), gth.has_value()) << "seed " << seed;
+    if (!gth.has_value()) continue;
+    const auto& s = gth.value();
+    EXPECT_TRUE(diffharness::bit_equal(
+        s.mean_time_to_absorption_hours,
+        ctmc::AbsorbingSolver::mttdl_hours(chain, 0)))
+        << "seed " << seed;
 
-    // tau = R^-T pi0 and m = R^-1 1, exactly as finish_analysis forms
-    // them, on the dense factorization.
+    // tau = R^-T pi0 and m = R^-1 1 on the dense factorization.
     linalg::Vector pi0(transient, 0.0);
     pi0[0] = 1.0;
     const linalg::Vector tau = oracle.solve_transposed(pi0);
@@ -354,31 +361,33 @@ TEST(DiffHarness, AbsorbingLuBackendsAgreeToStatedBound) {
   RecordProperty("max_rel", std::to_string(stats.max_rel));
 }
 
-TEST(DiffHarness, StationaryLuBackendsAgreeToStatedBound) {
-  DiffStats stats;
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    Xoshiro256 rng(stream_seed(0x57A7, seed));
-    const std::size_t n = 2 + rng.below(30);
-    const ctmc::Chain chain = diffharness::random_irreducible(rng, n, 0.2);
-    // Dense oracle: Q^T with its last row replaced by normalization.
-    linalg::Matrix a = chain.generator().transpose();
-    for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-    const auto dense = linalg::solve(a, b);
-    const auto sparse = ctmc::StationarySolver::try_distribution(chain);
-    ASSERT_EQ(dense.has_value(), sparse.has_value()) << "seed " << seed;
-    if (!sparse.has_value()) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LE(diffharness::rel_diff((*dense)[i], sparse.value()[i]),
-                kLuRelativeBound)
-          << "seed " << seed << " state " << i;
+TEST(DiffHarness, TransientMatchesDenseUniformizationBitwise) {
+  // The out-edge mat-vec adds the same products in the same order as
+  // the dense kernel, minus its exact zeros: every probability must come
+  // out with the same bits, on absorbing and irreducible chains alike.
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Xoshiro256 rng(stream_seed(0x7A45, seed));
+    const ctmc::Chain chain =
+        seed % 2 == 0
+            ? diffharness::random_absorbing(rng, 2 + rng.below(20),
+                                            1 + rng.below(3), 0.2)
+            : diffharness::random_irreducible(rng, 2 + rng.below(20), 0.2);
+    const ctmc::TransientSolver solver(chain);
+    for (const double t : {0.0, 1e-3, 0.5, 3.0}) {
+      const std::vector<double> sparse = solver.distribution_at(t, 0);
+      const linalg::Vector dense =
+          diffharness::uniformized_distribution(chain, t, 0);
+      ASSERT_EQ(sparse.size(), dense.size());
+      for (std::size_t i = 0; i < dense.size(); ++i) {
+        EXPECT_TRUE(diffharness::bit_equal(sparse[i], dense[i]))
+            << "seed " << seed << " t=" << t << " state " << i << ": "
+            << sparse[i] << " vs " << dense[i];
+      }
+      ++compared;
     }
-    stats.record(*dense, sparse.value());
-    stats.note_chain();
   }
-  EXPECT_GE(stats.chains, 50u);
-  RecordProperty("max_rel", std::to_string(stats.max_rel));
+  EXPECT_EQ(compared, 160u);
 }
 
 // --- claim 4: degenerate systems fail with a typed error --------------

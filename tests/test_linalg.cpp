@@ -6,8 +6,8 @@
 
 #include <cmath>
 
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
+#include "diffharness/lu.hpp"
+#include "diffharness/matrix.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 

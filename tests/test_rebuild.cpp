@@ -224,9 +224,9 @@ TEST(Degraded, BaselineImpactValues) {
 }
 
 TEST(Degraded, MatchesAvailabilityDegradedFraction) {
-  // The rebuilding fraction computed here agrees with the stationary
-  // degraded occupancy of the availability chain (same physics, two
-  // derivations) — cross-checked in test_availability at ~0.2%.
+  // The rebuilding fraction computed here agrees with the degraded
+  // share of the availability model (same physics, two derivations) —
+  // cross-checked in test_availability at ~0.2%.
   DegradedParams p;
   p.rebuild = baseline_params();
   const DegradedImpact impact = DegradedModel(p).impact();

@@ -274,6 +274,29 @@ TEST(Cartesian, RejectsDuplicateAxisParameterAndGappedSections) {
   }
 }
 
+TEST(Cartesian, ProductCellOutsideTheDomainIsATypedError) {
+  // Each axis passes its own end check, but the cell n = 10, r = 16
+  // breaks r <= n: a typed invalid_parameter error naming both axes,
+  // not the library's contract message.
+  try {
+    (void)parse_scenario(
+        "[configurations]\nlist = none-ft2\n"
+        "[sweep]\nparam = n\nfrom = 10\nto = 16\nsteps = 3\n"
+        "scale = linear\n"
+        "[sweep.2]\nparam = r\nfrom = 8\nto = 16\nsteps = 3\n"
+        "scale = linear\n");
+    FAIL() << "out-of-domain product cell accepted";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(e.error().layer, "scenario.ini");
+    const std::string& detail = e.error().detail;
+    EXPECT_NE(detail.find("[sweep] n x [sweep.2] r"), std::string::npos)
+        << detail;
+    EXPECT_NE(detail.find("puts r out of its domain"), std::string::npos)
+        << detail;
+  }
+}
+
 TEST(Cartesian, CommittedScenarioMatchesGoldenOutput) {
   // scenarios/mttf_x_bandwidth.scenario is the repo's 2-axis example;
   // its table output is pinned byte-for-byte. Regenerate the golden
