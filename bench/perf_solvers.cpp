@@ -66,12 +66,12 @@ models::NoInternalRaidParams crossover_params(int k) {
   return p;
 }
 
-// The no-internal-RAID solve as k grows, on the labelled-chain path
-// every `nsrel analyze` takes: chain() assembly, both validate() passes
-// and the GTH solve. Assembly is linear in the chain's size, and the
-// leaf-first elimination has no off-diagonal fill-in on these
-// binary-tree chains, so the whole solve is O(n) up to the k = 16 cap
-// (131071 states).
+// The no-internal-RAID solve as k grows, on the path every `nsrel
+// analyze` takes: the failure-word walk straight into the GTH kernel's
+// rows (no labelled Chain, no validate()), then the solve. The walk is
+// linear in the chain's size, and the leaf-first elimination has no
+// off-diagonal fill-in on these binary-tree chains, so the whole solve
+// is O(n) up to the k = 16 cap (131071 states).
 void BM_NirExactSolveCrossover(benchmark::State& state) {
   const models::NoInternalRaidModel model(
       crossover_params(static_cast<int>(state.range(0))));

@@ -421,7 +421,7 @@ int run_availability(const Args& args, std::ostream& out, std::ostream& err) {
       built.chain, built.healthy, Hours(restore_hours));
   out << "configuration:       " << core::name(configuration) << "\n"
       << "MTTDL:               " << human_hours(result.mttdl.value()) << "\n"
-      << "restore time:        " << fixed(restore_hours, 1) << " h\n"
+      << "restore time:        " << human_hours(restore_hours) << "\n"
       << "availability:        " << fixed(result.availability * 100.0, 9)
       << " %\n"
       << "downtime:            " << sci(result.downtime_minutes_per_year)

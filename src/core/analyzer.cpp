@@ -253,8 +253,8 @@ AnalysisResult Analyzer::analyze(const Configuration& configuration,
   if (configuration.internal == InternalScheme::kNone &&
       configuration.node_fault_tolerance > 16) {
     // Matches the NoInternalRaidModel cap: the chain has 2^(k+1) states
-    // (0.15 s to build and solve at k = 16, doubling with each step of
-    // k). A typed error, not a contract violation — the parameter came
+    // (about 25 ms to build and solve at k = 16, doubling with each step
+    // of k). A typed error, not a contract violation — the parameter came
     // from user input (a sweep axis), not from a caller bug.
     return Error{ErrorCode::kInvalidParameter, "core.analyzer",
                  "node fault tolerance above 16 is not supported without "

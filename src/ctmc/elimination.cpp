@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/probe_names.hpp"
@@ -26,28 +27,6 @@ bool finite(double x) { return std::isfinite(x); }
 bool finite(const std::complex<double>& z) {
   return std::isfinite(z.real()) && std::isfinite(z.imag());
 }
-
-/// One stored jump probability b_ij of row i.
-template <typename T>
-struct Entry {
-  std::uint32_t col = 0;
-  T value{};
-};
-
-/// The embedded-jump form
-///   m_i = c[i] + sum_j b[i][j] * m_j,   sum_j b[i][j] + ab[i] = 1,
-/// with each row of b held as a column-sorted vector of its stored
-/// entries. Every b/ab/c value is >= 0, so an entry that is absent and
-/// one that holds 0.0 are interchangeable: adding an exact zero to a
-/// non-negative sum is a no-op.
-template <typename T>
-struct JumpSystem {
-  explicit JumpSystem(std::size_t n) : rows(n), ab(n, T{}), c(n, T{}) {}
-
-  std::vector<std::vector<Entry<T>>> rows;
-  std::vector<T> ab;
-  std::vector<T> c;
-};
 
 /// The lean form's pivot log: keeps nothing.
 struct NoLog {
@@ -85,12 +64,13 @@ struct PivotLog {
 /// Eliminates every state except `initial` (order: last to first,
 /// skipping `initial`), then m_initial = c[initial] / ab[initial].
 /// Each step touches only the rows holding an entry in the pivot's
-/// column, found through a column index. Column lists are append-only:
-/// an entry leaves its row only when its column is the pivot, after
-/// which that list is never read again, so every live row listed under
-/// a live column really holds the entry (eliminated rows are skipped).
-/// Eliminated rows, and their c, are left as they were at their pivot
-/// step.
+/// column, found through a column index (flat, like the rows). Column
+/// lists are append-only: an entry leaves its row only when its column is
+/// the pivot, after which that list is never read again, so every live
+/// row listed under a live column really holds the entry (eliminated rows
+/// are skipped). A row's own diagonal is never listed: the pivot skips
+/// its own row. Eliminated rows, and their c, are left as they were at
+/// their pivot step.
 template <typename T, typename Log>
 [[nodiscard]] Expected<T> eliminate(JumpSystem<T>& system,
                                     std::size_t initial, Log& log) {
@@ -98,18 +78,25 @@ template <typename T, typename Log>
   auto& ab = system.ab;
   auto& c = system.c;
   const std::size_t n = rows.size();
-  std::vector<std::vector<std::uint32_t>> col_rows(n);
   std::vector<std::uint32_t> col_size(n, 0);
-  for (const auto& row : rows) {
-    for (const Entry<T>& e : row) ++col_size[e.col];
-  }
-  for (std::size_t j = 0; j < n; ++j) col_rows[j].reserve(col_size[j]);
+  std::size_t entries = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (const Entry<T>& e : rows[i]) {
-      col_rows[e.col].push_back(static_cast<std::uint32_t>(i));
+    for (const RowEntry<T>& e : rows[i]) {
+      if (e.col != i) ++col_size[e.col];
+    }
+    entries += rows[i].size();
+  }
+  FlatRows<std::uint32_t> col_rows;
+  col_rows.reserve(n, entries);
+  for (std::size_t j = 0; j < n; ++j) col_rows.add_row(col_size[j]);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const RowEntry<T>& e : rows[i]) {
+      if (e.col != i) col_rows.push_back(e.col, static_cast<std::uint32_t>(i));
     }
   }
-  std::vector<Entry<T>> merged;
+  // The pivot row is copied out: growing another row may move the arena.
+  std::vector<RowEntry<T>> pivot_row;
+  std::vector<RowEntry<T>> merged;
 
   for (std::size_t step = n; step-- > 0;) {
     if (step == initial) continue;
@@ -118,10 +105,10 @@ template <typename T, typename Log>
     const auto eliminated = [&](std::uint32_t i) {
       return i > s && i != initial;
     };
-    const std::vector<Entry<T>>& pivot_row = rows[s];
+    pivot_row.assign(rows[s].begin(), rows[s].end());
     // D_s = 1 - b[s][s], computed as a positive sum via the invariant.
     T d = ab[s];
-    for (const Entry<T>& e : pivot_row) {
+    for (const RowEntry<T>& e : pivot_row) {
       if (e.col != s) d += e.value;
     }
     if (!(re(d) > 0.0)) {
@@ -131,35 +118,41 @@ template <typename T, typename Log>
     }
     log.pivot(s, d);
     const T inv_d = 1.0 / d;
-    for (const std::uint32_t i : col_rows[s]) {
+    // Fill-in appends to other columns' lists, so col_rows[s] keeps its
+    // entries but may move: index it afresh on every step.
+    for (std::size_t k = 0; k < col_rows[s].size(); ++k) {
+      const std::uint32_t i = col_rows[s][k];
       if (i == s || eliminated(i)) continue;
-      std::vector<Entry<T>>& row = rows[i];
+      const std::span<RowEntry<T>> row = rows[i];
       const auto at_s = std::lower_bound(
           row.begin(), row.end(), s,
-          [](const Entry<T>& e, std::uint32_t col) { return e.col < col; });
+          [](const RowEntry<T>& e, std::uint32_t col) { return e.col < col; });
       NSREL_ASSERT(at_s != row.end() && at_s->col == s);
       const T weight = at_s->value * inv_d;
-      row.erase(at_s);
+      rows.erase(i, static_cast<std::size_t>(at_s - row.begin()));
       if (weight == T{}) continue;
       log.weight(i, weight);
       c[i] += weight * c[s];
       ab[i] += weight * ab[s];
       // row += weight * pivot_row (column s excluded), as a sorted merge.
+      const std::span<const RowEntry<T>> old_row = rows[i];
       merged.clear();
-      auto old = row.begin();
-      for (const Entry<T>& e : pivot_row) {
+      auto old = old_row.begin();
+      for (const RowEntry<T>& e : pivot_row) {
         if (e.col == s) continue;
-        while (old != row.end() && old->col < e.col) merged.push_back(*old++);
-        if (old != row.end() && old->col == e.col) {
+        while (old != old_row.end() && old->col < e.col) {
+          merged.push_back(*old++);
+        }
+        if (old != old_row.end() && old->col == e.col) {
           merged.push_back({e.col, old->value + weight * e.value});
           ++old;
         } else {
           merged.push_back({e.col, T{} + weight * e.value});
-          col_rows[e.col].push_back(i);
+          if (e.col != i) col_rows.push_back(e.col, i);
         }
       }
-      merged.insert(merged.end(), old, row.end());
-      row.swap(merged);
+      merged.insert(merged.end(), old, old_row.end());
+      rows.assign(i, merged);
     }
     log.close(s);
   }
@@ -186,69 +179,6 @@ std::vector<StateId> checked_transient_states(const Chain& chain,
   return chain.transient_states();
 }
 
-/// One solve's setup, shared by every entry point: the row numbering
-/// (index[s] is state s's row, or n for an absorbing state), the solver
-/// span (open until the entry point returns), and the jump system with
-/// transition k's rate read as rate(k). Exit rates (held in c until
-/// inverted below) and the split into transient jumps vs absorption flow
-/// are accumulated in transition order. Chain::add_transition merges
-/// duplicate edges and forbids self-loops, so each (from, to) cell
-/// receives exactly one rate.
-template <typename T>
-struct Setup {
-  template <typename Rate>
-  Setup(const Chain& chain, StateId initial_state, const Rate& rate)
-      : transient(checked_transient_states(chain, initial_state)),
-        index(chain.state_count(), transient.size()),
-        span(obs::probe::kSpanEliminationSolve,
-             obs::probe::kSpanCategoryCtmc),
-        system(transient.size()) {
-    const std::size_t n = transient.size();
-    for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
-    initial = index[initial_state];
-    NSREL_ASSERT(initial < n);
-    if (span.armed()) span.arg("states", static_cast<std::uint64_t>(n));
-
-    const std::vector<Transition>& transitions = chain.transitions();
-    std::vector<std::uint32_t> row_size(n, 0);
-    for (const auto& t : transitions) {
-      if (index[t.to] < n) ++row_size[index[t.from]];
-    }
-    for (std::size_t i = 0; i < n; ++i) system.rows[i].reserve(row_size[i]);
-    for (std::size_t k = 0; k < transitions.size(); ++k) {
-      const Transition& t = transitions[k];
-      const T r = rate(k);
-      const std::size_t from = index[t.from];
-      NSREL_ASSERT(from < n);
-      system.c[from] += r;
-      const std::size_t to = index[t.to];
-      if (to < n) {
-        system.rows[from].push_back({static_cast<std::uint32_t>(to), r});
-      } else {
-        system.ab[from] += r;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      NSREL_ASSERT(re(system.c[i]) > 0.0);
-      const T inv_exit = 1.0 / system.c[i];
-      system.c[i] = inv_exit;
-      system.ab[i] *= inv_exit;
-      auto& row = system.rows[i];
-      std::sort(row.begin(), row.end(),
-                [](const Entry<T>& x, const Entry<T>& y) {
-                  return x.col < y.col;
-                });
-      for (Entry<T>& e : row) e.value *= inv_exit;
-    }
-  }
-
-  std::vector<StateId> transient;
-  std::vector<std::size_t> index;
-  std::size_t initial = 0;
-  obs::Span span;
-  JumpSystem<T> system;
-};
-
 /// The chain's own rates, for the double forms.
 auto chain_rates(const Chain& chain) {
   return [&transitions = chain.transitions()](std::size_t k) {
@@ -256,7 +186,93 @@ auto chain_rates(const Chain& chain) {
   };
 }
 
+/// A chain's out-edges fed through a sink, transition k read at rate(k).
+template <typename T, typename Rate>
+RowSink<T> chain_rows(const Chain& chain, const Rate& rate) {
+  RowSink<T> sink;
+  sink.reserve(chain.state_count(), chain.transitions().size());
+  for (StateId s = 0; s < chain.state_count(); ++s) {
+    sink.add_state(chain.state(s).kind, chain.out_edges(s).size());
+  }
+  const std::vector<Transition>& transitions = chain.transitions();
+  for (StateId s = 0; s < chain.state_count(); ++s) {
+    for (const std::size_t k : chain.out_edges(s)) {
+      sink.add_transition(s, transitions[k].to, rate(k));
+    }
+  }
+  return sink;
+}
+
+/// One Chain solve's setup, shared by its entry points: the transient
+/// states (row i is state transient[i]), the solver span (open until the
+/// entry point returns), and the jump system with transition k's rate
+/// read as rate(k), assembled through the one row sink.
+template <typename T>
+struct Setup {
+  template <typename Rate>
+  Setup(const Chain& chain, StateId initial_state, const Rate& rate)
+      : transient(checked_transient_states(chain, initial_state)),
+        span(obs::probe::kSpanEliminationSolve,
+             obs::probe::kSpanCategoryCtmc) {
+    RowSink<T> sink = chain_rows<T>(chain, rate);
+    initial = sink.row_of(initial_state);
+    if (span.armed()) {
+      span.arg("states", static_cast<std::uint64_t>(transient.size()));
+    }
+    system = jump_system(std::move(sink));
+  }
+
+  std::vector<StateId> transient;
+  std::size_t initial = 0;
+  obs::Span span;
+  JumpSystem<T> system;
+};
+
 }  // namespace
+
+template <typename T>
+JumpSystem<T> jump_system(RowSink<T>&& sink) {
+  JumpSystem<T> system{std::move(sink.edges_), {}, {}};
+  const std::vector<std::uint32_t>& row_of = sink.row_of_;
+  const std::size_t n = system.rows.size();
+  system.ab.assign(n, T{});
+  system.c.assign(n, T{});
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<RowEntry<T>> row = system.rows[i];
+    T exit{};
+    T absorbed{};
+    std::size_t kept = 0;
+    for (const RowEntry<T>& e : row) {
+      exit += e.value;
+      const std::uint32_t to = row_of[e.col];
+      if (to == RowSink<T>::kNoRow) {
+        absorbed += e.value;
+      } else {
+        row[kept++] = {to, e.value};
+      }
+    }
+    NSREL_EXPECTS(re(exit) > 0.0);
+    const T inv_exit = 1.0 / exit;
+    system.c[i] = inv_exit;
+    system.ab[i] = absorbed * inv_exit;
+    system.rows.truncate(i, kept);
+    const std::span<RowEntry<T>> jumps = system.rows[i];
+    std::sort(jumps.begin(), jumps.end(),
+              [](const RowEntry<T>& x, const RowEntry<T>& y) {
+                return x.col < y.col;
+              });
+    for (RowEntry<T>& e : jumps) e.value *= inv_exit;
+  }
+  return system;
+}
+
+template JumpSystem<double> jump_system(RowSink<double>&& sink);
+template JumpSystem<std::complex<double>> jump_system(
+    RowSink<std::complex<double>>&& sink);
+
+RowSink<double> kernel_rows(const Chain& chain) {
+  return chain_rows<double>(chain, chain_rates(chain));
+}
 
 double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
                                                      StateId initial) {
@@ -268,6 +284,20 @@ double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
   Setup<double> setup(chain, initial, chain_rates(chain));
   NoLog log;
   return eliminate(setup.system, setup.initial, log);
+}
+
+[[nodiscard]] Expected<double> EliminationSolver::try_mean_absorption_time_hours(
+    RowSink<double>&& rows, StateId initial) {
+  const std::size_t row = rows.row_of(initial);
+  NSREL_EXPECTS(row != RowSink<double>::kNoRow);
+  obs::Span span(obs::probe::kSpanEliminationSolve,
+                 obs::probe::kSpanCategoryCtmc);
+  JumpSystem<double> system = jump_system(std::move(rows));
+  if (span.armed()) {
+    span.arg("states", static_cast<std::uint64_t>(system.rows.size()));
+  }
+  NoLog log;
+  return eliminate(system, row, log);
 }
 
 [[nodiscard]] Expected<std::complex<double>>
@@ -304,7 +334,7 @@ EliminationSolver::try_mean_absorption_time_hours(
   for (std::size_t s = 0; s < n; ++s) {
     if (s == init) continue;
     double time = system.c[s];
-    for (const Entry<double>& e : system.rows[s]) {
+    for (const RowEntry<double>& e : system.rows[s]) {
       if (e.col != s) time += e.value * m[e.col];
     }
     m[s] = time / log.d[s];

@@ -12,10 +12,14 @@
 // 5.2.2); full-depth states absorb at rate (N-k)(lambda_N + d lambda_d);
 // repairs undo the most recent failure at mu_N or mu_d.
 //
-// The chain is built once, by walking the failure words in preorder
-// (root, N-subtree, d-subtree). That numbering is the appendix's block
-// order, so chain()'s absorption matrix is the block recursion R^(k)
-// state for state. The recursion itself is kept only as a test oracle
+// The chain is built by one walk over the failure words in preorder
+// (root, N-subtree, d-subtree), emitted into one of two sinks: a labelled
+// ctmc::Chain (chain(), for `nsrel chain`, availability, sensitivity and
+// the simulator) or the GTH kernel's rows (kernel_rows(), which
+// mttdl_exact() solves without building a Chain). Both see the same
+// states, edges, order and rate bits. The preorder numbering is the
+// appendix's block order, so chain()'s absorption matrix is the block
+// recursion R^(k) state for state. The recursion itself is kept only as a test oracle
 // (tests/diffharness/appendix_oracle.*) that rebuilds R^(k) and checks
 // chain() against it entry by entry.
 #pragma once
@@ -24,6 +28,7 @@
 
 #include "combinat/critical_sets.hpp"
 #include "ctmc/chain.hpp"
+#include "ctmc/elimination.hpp"
 #include "models/internal_raid.hpp"  // RepairPolicy
 #include "util/units.hpp"
 
@@ -51,7 +56,8 @@ class NoInternalRaidModel {
   /// Preconditions: k >= 1, k < R <= N, N > k, d >= 1, rates > 0,
   /// fault_tolerance <= 16. The absorption matrix has 2^(k+1)-1 states
   /// (131071 at the k=16 cap); chain() and mttdl_exact() are linear in
-  /// that size and take about 0.15 s at k=16.
+  /// that size. At k=16 mttdl_exact() takes about 25 ms and chain() about
+  /// 80 ms (4-vCPU VM, RelWithDebInfo).
   explicit NoInternalRaidModel(const NoInternalRaidParams& params);
 
   [[nodiscard]] const NoInternalRaidParams& params() const { return params_; }
@@ -66,7 +72,14 @@ class NoInternalRaidModel {
   /// Id of the fully-operational root state within chain().
   [[nodiscard]] static ctmc::StateId root_state() { return 1; }
 
-  /// MTTDL by numerically solving the exact chain (GTH elimination).
+  /// The same walk as chain(), emitted straight into the GTH kernel's
+  /// rows: no labels, no Chain. State ids, edge order and rate bits are
+  /// chain()'s, so jump_system() of these rows equals that of
+  /// ctmc::kernel_rows(chain()) bit for bit.
+  [[nodiscard]] ctmc::RowSink<double> kernel_rows() const;
+
+  /// MTTDL by numerically solving the exact chain (GTH elimination over
+  /// kernel_rows(); no Chain is built).
   [[nodiscard]] Hours mttdl_exact() const;
 
   /// The paper's closed-form approximation. For k = 1, 2, 3 this equals

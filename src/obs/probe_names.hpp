@@ -61,11 +61,15 @@ inline constexpr const char* kSpanCategorySim = "sim";
 inline constexpr const char* kSpanCategoryCtmc = "ctmc";
 inline constexpr const char* kSpanCategoryReport = "report";
 inline constexpr const char* kSpanCategoryRepair = "repair";
+inline constexpr const char* kSpanCategoryModels = "models";
 
 inline constexpr const char* kSpanSolve = "solve";
 /// The CTMC solver span (every GTH elimination), tagged with a "states"
 /// arg (the dimension the kernel ran on).
 inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
+/// A model's chain construction: the no-internal-RAID failure-word walk,
+/// into a labelled Chain or straight into the kernel's rows.
+inline constexpr const char* kSpanChainBuild = "chain_build";
 inline constexpr const char* kSpanEvaluate = "evaluate";
 inline constexpr const char* kSpanCell = "cell";
 /// A Monte-Carlo grid cell: wraps the sim::run_trials call for one

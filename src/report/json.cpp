@@ -1,13 +1,14 @@
 #include "report/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "util/assert.hpp"
 
@@ -41,12 +42,22 @@ std::string json_escape(std::string_view text) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
+  // The shortest of %.15g, %.16g, %.17g that reads back as v. to_chars
+  // with a precision prints exactly what printf's %.*g prints, and
+  // from_chars reads as strtod does (a text that overflows to infinity
+  // reads back as an error instead), without the locale.
   char buf[40];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof(buf), v,
+                        std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc{} && back == v) {
+      break;
+    }
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 JsonWriter::JsonWriter(std::ostream& out) : out_(out) {}

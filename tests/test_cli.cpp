@@ -2,7 +2,11 @@
 // mapping, and every command driven end-to-end against string streams.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -519,6 +523,61 @@ TEST(Dispatch, AvailabilityMatchesGolden) {
     }
   }
   EXPECT_EQ(all, read_golden("availability.golden"));
+}
+
+TEST(Dispatch, AvailabilityRendersLargeRestoreTimesLikeTheMttdl) {
+  // Below 1e4 h the line is unchanged (168.0 h, pinned by the golden);
+  // above it, scientific hours and years instead of every digit.
+  const auto result = run({"availability", "--scheme", "none", "--ft", "2",
+                           "--restore-hours", "1e300"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("restore time:        1.00e+300 h (1.14e+296 yr)\n"),
+            std::string::npos)
+      << result.out;
+}
+
+TEST(Dispatch, SaturatedHardErrorProbabilityStillSolves) {
+  // A 1e9 GB drive at one error per 1e10 bits saturates h_N to exactly
+  // 1, so the failure edge into the critical NN state carries rate 0.
+  // The chain drops that edge (its flow is all on the loss edge) rather
+  // than tripping the rate > 0 contract in every command.
+  const std::vector<std::string> system = {"--scheme",      "none", "--ft",
+                                           "2",             "--capacity-gb",
+                                           "1e9",           "--her-exp",
+                                           "10"};
+  const auto with_system = [&](std::vector<std::string> tokens) {
+    tokens.insert(tokens.end(), system.begin(), system.end());
+    return run_tokens(tokens);
+  };
+  const auto number_after = [](const std::string& out, const std::string& key) {
+    const std::size_t at = out.find(key);
+    return at == std::string::npos
+               ? std::numeric_limits<double>::quiet_NaN()
+               : std::strtod(out.c_str() + at + key.size(), nullptr);
+  };
+  const auto expect_finite_positive = [](double mttdl, const std::string& out) {
+    EXPECT_TRUE(std::isfinite(mttdl) && mttdl > 0.0) << out;
+  };
+
+  const auto analyze = with_system({"analyze"});
+  EXPECT_EQ(analyze.exit_code, 0) << analyze.err;
+  expect_finite_positive(number_after(analyze.out, "MTTDL:"), analyze.out);
+
+  const auto availability = with_system({"availability"});
+  EXPECT_EQ(availability.exit_code, 0) << availability.err;
+  expect_finite_positive(number_after(availability.out, "MTTDL:"),
+                         availability.out);
+
+  const auto chain = with_system({"chain"});
+  EXPECT_EQ(chain.exit_code, 0) << chain.err;
+  EXPECT_NE(chain.out.find("s3 [label=\"NN\"]"), std::string::npos);
+
+  const auto simulate =
+      with_system({"simulate", "--node-mttf", "500", "--drive-mttf", "300",
+                   "--trials", "200"});
+  EXPECT_EQ(simulate.exit_code, 0) << simulate.err;
+  expect_finite_positive(number_after(simulate.out, "analytic MTTDL:"),
+                         simulate.out);
 }
 
 TEST(Diff, SelfCompareOfJobsVariantsExitsClean) {

@@ -5,9 +5,12 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ctmc/absorbing.hpp"
@@ -408,6 +411,72 @@ TEST(Elimination, TryFormMatchesThrowingFormBitwise) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result.value(),
             EliminationSolver::mean_absorption_time_hours(c, 0));
+}
+
+TEST(Elimination, RowSinkSolveMatchesChainSolveBitwise) {
+  // The same adds, parallel edges included, into a Chain and a RowSink:
+  // the sink merges into the first slot as the Chain does, so the two
+  // solves are bit-identical.
+  Chain chain;
+  RowSink<double> rows;
+  const auto state = [&](StateKind kind) {
+    EXPECT_EQ(chain.add_state("s", kind), rows.add_state(kind, 1));
+  };
+  const auto edge = [&](StateId from, StateId to, double rate) {
+    chain.add_transition(from, to, rate);
+    rows.add_transition(from, to, rate);
+  };
+  state(StateKind::kTransient);
+  state(StateKind::kAbsorbing);
+  state(StateKind::kTransient);
+  state(StateKind::kTransient);
+  state(StateKind::kAbsorbing);
+  edge(0, 2, 0.3);
+  edge(0, 3, 1e-3);
+  edge(0, 2, 0.1);  // parallel: merges into the 0 -> 2 slot
+  edge(2, 0, 7.0);
+  edge(2, 1, 2e-4);
+  edge(2, 3, 0.7);
+  edge(3, 4, 1e-5);
+  edge(3, 0, 3.0);
+  edge(3, 1, 1e-6);
+  edge(3, 4, 2e-5);  // parallel, to an absorbing state
+  const auto from_rows =
+      EliminationSolver::try_mean_absorption_time_hours(std::move(rows), 0);
+  ASSERT_TRUE(from_rows.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(from_rows.value()),
+            std::bit_cast<std::uint64_t>(
+                EliminationSolver::mean_absorption_time_hours(chain, 0)));
+}
+
+TEST(Elimination, RowSinkSolveReportsAClosedClassAsSingular) {
+  // Rows go unvalidated: states 2 <-> 3 cannot reach absorption, and
+  // their elimination ends in an exactly zero pivot, a typed error.
+  RowSink<double> rows;
+  rows.add_state(StateKind::kTransient, 1);
+  rows.add_state(StateKind::kAbsorbing, 0);
+  rows.add_state(StateKind::kTransient, 1);
+  rows.add_state(StateKind::kTransient, 1);
+  rows.add_transition(0, 1, 1.0);
+  rows.add_transition(2, 3, 1.0);
+  rows.add_transition(3, 2, 1.0);
+  const auto result =
+      EliminationSolver::try_mean_absorption_time_hours(std::move(rows), 0);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().code, ErrorCode::kSingularGenerator);
+}
+
+TEST(Elimination, RowSinkKeepsTheChainContract) {
+  RowSink<double> rows;
+  rows.add_state(StateKind::kTransient, 1);
+  rows.add_state(StateKind::kAbsorbing, 0);
+  EXPECT_THROW(rows.add_transition(0, 1, 0.0), ContractViolation);
+  EXPECT_THROW(rows.add_transition(0, 0, 1.0), ContractViolation);
+  EXPECT_THROW(rows.add_transition(1, 0, 1.0), ContractViolation);
+  EXPECT_THROW(rows.add_transition(0, 2, 1.0), ContractViolation);
+  EXPECT_THROW(
+      (void)EliminationSolver::try_mean_absorption_time_hours(std::move(rows), 1),
+      ContractViolation);
 }
 
 TEST(ErrorTaxonomy, CodesHaveStableNames) {

@@ -274,6 +274,93 @@ TEST(DiffHarness, NirMttdlBitsArePinned) {
   }
 }
 
+// mttdl_exact() hours under concurrent repair, recorded before the walk
+// fed the kernel's rows directly. Fill-in makes this chain's solve grow
+// about 8x per k (k = 12 takes ~30 s), so the table stops at k = 10.
+constexpr double kNirConcurrentPinnedMttdl[] = {
+    0x1.4c6e811ffe3e2p+9,  0x1.103c0609c8be3p+20, 0x1.f589641336b93p+31,
+    0x1.7ceae21a5700bp+44, 0x1.90b6722df0558p+57, 0x1.d4a08fedc5ba5p+70,
+    0x1.cae41386c9655p+83, 0x1.5cf149ce3713dp+96, 0x1.edd5a8da1c7cap+108,
+    0x1.72fc3300f418cp+121};
+
+TEST(DiffHarness, NirConcurrentMttdlBitsArePinned) {
+  for (int k = 1; k <= 10; ++k) {
+    models::NoInternalRaidParams p = crossover_params(k);
+    p.repair_policy = models::RepairPolicy::kConcurrent;
+    EXPECT_TRUE(diffharness::bit_equal(
+        models::NoInternalRaidModel(p).mttdl_exact().value(),
+        kNirConcurrentPinnedMttdl[k - 1]))
+        << "concurrent k=" << k;
+  }
+}
+
+/// True when the two systems hold the same rows, c and ab, bit for bit.
+::testing::AssertionResult same_jump_system(
+    const ctmc::JumpSystem<double>& a, const ctmc::JumpSystem<double>& b) {
+  if (a.rows.size() != b.rows.size() || a.c.size() != b.c.size() ||
+      a.ab.size() != b.ab.size()) {
+    return ::testing::AssertionFailure() << "sizes differ";
+  }
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    if (!diffharness::bit_equal(a.c[i], b.c[i]) ||
+        !diffharness::bit_equal(a.ab[i], b.ab[i])) {
+      return ::testing::AssertionFailure() << "c or ab of row " << i;
+    }
+    const auto x = a.rows[i];
+    const auto y = b.rows[i];
+    if (x.size() != y.size()) {
+      return ::testing::AssertionFailure() << "length of row " << i;
+    }
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      if (x[j].col != y[j].col ||
+          !diffharness::bit_equal(x[j].value, y[j].value)) {
+        return ::testing::AssertionFailure() << "entry " << j << " of row "
+                                             << i;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DiffHarness, NirChainIsValidByConstructionAndRowsMatchIt) {
+  // The one proof that the walk's output needs no per-solve validate():
+  // chain() passes it at every k and policy, and the rows the walk feeds
+  // mttdl_exact() give the kernel the same system, bit for bit, as the
+  // Chain path's assembly of chain().
+  for (const models::RepairPolicy policy :
+       {models::RepairPolicy::kSingle, models::RepairPolicy::kConcurrent}) {
+    for (int k = 1; k <= 16; ++k) {
+      models::NoInternalRaidParams p = crossover_params(k);
+      p.repair_policy = policy;
+      const models::NoInternalRaidModel model(p);
+      const ctmc::Chain chain = model.chain();
+      const std::string where =
+          std::string(policy == models::RepairPolicy::kSingle ? "single"
+                                                              : "concurrent") +
+          " k=" + std::to_string(k);
+      EXPECT_EQ(chain.validate(), "") << where;
+      EXPECT_TRUE(same_jump_system(ctmc::jump_system(model.kernel_rows()),
+                                   ctmc::jump_system(ctmc::kernel_rows(chain))))
+          << where;
+    }
+  }
+  // A certain hard error (h saturated to exactly 1) drops the failure
+  // edges into the critical states; both sinks see the same walk.
+  for (int k = 1; k <= 3; ++k) {
+    models::NoInternalRaidParams p = crossover_params(k);
+    p.capacity = gigabytes(1e9);
+    p.her_per_byte = 8e-10;
+    const models::NoInternalRaidModel model(p);
+    const ctmc::Chain chain = model.chain();
+    EXPECT_EQ(chain.validate(), "") << "saturated k=" << k;
+    EXPECT_TRUE(same_jump_system(ctmc::jump_system(model.kernel_rows()),
+                                 ctmc::jump_system(ctmc::kernel_rows(chain))))
+        << "saturated k=" << k;
+    const double mttdl = model.mttdl_exact().value();
+    EXPECT_TRUE(std::isfinite(mttdl) && mttdl > 0.0) << "saturated k=" << k;
+  }
+}
+
 TEST(DiffHarness, InternalRaidMttdlBitsArePinned) {
   // Paper-baseline analyze() of the internal-RAID configurations.
   struct Pin {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -436,6 +437,40 @@ TEST(ObsCli, SweepStdoutByteIdenticalWithObservabilityOnAtAnyJobs) {
     EXPECT_GE(count_occurrences(text, "\"name\": \"solve\""), 1u) << path;
     EXPECT_NE(text.find("\"outcome\": \"ok\""), std::string::npos) << path;
   }
+}
+
+/// Total "dur" (microseconds) of the trace's spans with this name.
+double span_total_us(const std::string& trace, const std::string& name) {
+  const std::string key = "{\"name\": \"" + name + "\"";
+  double total = 0.0;
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + key.size())) {
+    const std::size_t dur = trace.find("\"dur\": ", at);
+    if (dur == std::string::npos) break;
+    total += std::strtod(trace.c_str() + dur + 7, nullptr);
+  }
+  return total;
+}
+
+TEST(ObsCli, ChainBuildAndEliminationCoverTheSolveSpan) {
+  // An ft 14 NIR analyze (32767 transient states): the failure-word walk
+  // (chain_build) and the GTH kernel (elimination_solve) are nearly all
+  // of the solve span, so its time is attributed to named layers.
+  const std::string trace = temp_path("obs_ft14.json");
+  const CliResult result =
+      run_cli({"analyze", "--scheme", "none", "--ft", "14", "--r", "20",
+               "--trace", trace.c_str()});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::string text = slurp(trace);
+  EXPECT_TRUE(valid_json(text));
+  EXPECT_EQ(count_occurrences(text, "\"name\": \"chain_build\""), 1u);
+  EXPECT_EQ(count_occurrences(text, "\"name\": \"elimination_solve\""), 1u);
+  const double solve = span_total_us(text, "solve");
+  const double named = span_total_us(text, "chain_build") +
+                       span_total_us(text, "elimination_solve");
+  ASSERT_GT(solve, 0.0);
+  EXPECT_GE(named, 0.95 * solve) << "named " << named << " us of " << solve;
+  EXPECT_LE(named, solve);
 }
 
 TEST(ObsCli, MetricsAndTraceLeaveExitCodeAlone) {

@@ -2,14 +2,20 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace nsrel::report {
 namespace {
@@ -92,11 +98,50 @@ TEST(Json, EscapesSpecialCharacters) {
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
+/// The printf/strtod formatting json_number replaced: the shortest of
+/// %.15g, %.16g, %.17g that strtod reads back as v.
+std::string snprintf_json_number(double v) {
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
 TEST(Json, NumbersRoundTripThroughStrtod) {
   for (const double v : {1.0, -0.5, 1e-300, 1.7976931348623157e308,
                          0.1 + 0.2, 3.0e5, 2e-3, 123456789.123456789}) {
     const std::string text = json_number(v);
     EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+  }
+  // Byte for byte what the printf/strtod loop printed, on the edge
+  // values and on a seeded sample: arbitrary bit patterns (every
+  // exponent, subnormals included), subnormals alone, integers up to
+  // 1e17, and uniform [0, 1) values, most of which need 17 digits.
+  std::vector<double> sample = {
+      0.0, -0.0, std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(), 0.1 + 0.2, 1e17, 1e16 + 1.0,
+      9007199254740993.0, 5e-324, 2.2250738585072009e-308};
+  Xoshiro256 rng(stream_seed(0x15D0, 0));
+  for (int i = 0; i < 40'000; ++i) {
+    const double bits = std::bit_cast<double>(rng());
+    if (std::isfinite(bits)) sample.push_back(bits);
+    sample.push_back(std::bit_cast<double>(rng() & 0x800F'FFFF'FFFF'FFFFULL));
+    sample.push_back(static_cast<double>(rng.below(100'000'000'000'000'001ULL)));
+    sample.push_back(rng.uniform());
+  }
+  ASSERT_GE(sample.size(), 100'000u);
+  std::size_t differences = 0;
+  for (const double v : sample) {
+    const std::string text = json_number(v);
+    if (text != snprintf_json_number(v) ||
+        !(std::strtod(text.c_str(), nullptr) == v)) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": "
+                    << text << " vs " << snprintf_json_number(v);
+      if (++differences == 10) break;
+    }
   }
   // Non-finite values have no JSON spelling; the writer emits null.
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
