@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the observability hot paths:
 // the disabled-probe cost (the one-relaxed-load contract — the journal
-// gate must be statistically indistinguishable from the registry gate
-// it mirrors), armed ring appends, the drain/commit path, and the
+// gate and a disarmed obs::Probe must be statistically indistinguishable
+// from the registry gate they share), armed ring appends, the drain/commit path, and the
 // MetricsSnapshot delta/merge algebra `nsrel report` is built on.
 // Counters are deterministic (events recorded, rows merged), so
 // tools/bench_diff.py can hard-fail a run that did different work than
@@ -13,9 +13,9 @@
 
 #include "perf_json.hpp"
 
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/probe_names.hpp"
 #include "obs/snapshot.hpp"
 
@@ -54,6 +54,25 @@ void BM_JournalDisabled(benchmark::State& state) {
   state.counters["events_recorded"] = static_cast<double>(recorded);
 }
 BENCHMARK(BM_JournalDisabled);
+
+// A disarmed obs::Probe of the densest layer (the solve probe, with its
+// span arg and journal outcome) — the cost every instrumented layer pays
+// on a plain run. Held to BM_RegistryDisabled: one relaxed load of the
+// shared gate, a branch and the probe's stack stores; nothing recorded.
+void BM_ProbeDisabled(benchmark::State& state) {
+  obs::Registry::instance().set_enabled(false);
+  obs::Journal::instance().disable();
+  std::uint64_t traced = 0;
+  for (auto _ : state) {
+    obs::Probe probe(obs::layer::kSolve);
+    probe.arg("cache", "hit");
+    probe.outcome("ok");
+    if (probe.tracing()) ++traced;
+    benchmark::DoNotOptimize(traced);
+  }
+  state.counters["probes_traced"] = static_cast<double>(traced);
+}
+BENCHMARK(BM_ProbeDisabled);
 
 // Armed append into the thread-local ring: no locks, no allocation —
 // the ring overwrites its oldest slot once full, so the loop cost is
@@ -111,7 +130,7 @@ void BM_SnapshotDelta(benchmark::State& state) {
   const obs::Counter counter =
       registry.counter(obs::probe::kSolveCacheHits);
   const obs::Histogram histogram =
-      registry.histogram(obs::probe::kSolveCacheInsertNs);
+      registry.histogram(obs::probe::kThreadPoolTaskNs);
   registry.add(counter, 3);
   for (std::uint64_t v = 1; v < 1u << 10; v <<= 1) {
     registry.record(histogram, v);

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"

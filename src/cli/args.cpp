@@ -115,7 +115,10 @@ void Args::reject_flag(const std::string& key,
   if (const auto it = flags_.find(key); it != flags_.end()) {
     detail.append(", got '").append(it->second).append("'");
   }
-  Error error{ErrorCode::kInvalidParameter, "cli.args", std::move(detail)};
+  reject(Error{ErrorCode::kInvalidParameter, "cli.args", std::move(detail)});
+}
+
+void Args::reject(Error error) const {
   if (!error_) error_ = error;
   throw ErrorException(std::move(error));
 }

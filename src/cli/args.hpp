@@ -47,6 +47,10 @@ class Args {
   [[noreturn]] void reject_flag(const std::string& key,
                                 const std::string& requirement) const;
 
+  /// Records `error` in error() (the first error wins) and throws it as
+  /// an ErrorException: a usage error (exit 4) like reject_flag's.
+  [[noreturn]] void reject(Error error) const;
+
   /// Flags present on the command line but never read by any accessor —
   /// almost certainly typos. Call after all gets.
   [[nodiscard]] std::vector<std::string> unused() const;

@@ -209,6 +209,15 @@ int check_unused(const Args& args, std::ostream& err) {
   return kExitUsage;
 }
 
+/// Rejects a configuration the models cannot take (the analyzer's
+/// check_configuration) as a usage error, before any chain is built.
+void check_configuration(const Args& args, const core::Analyzer& analyzer,
+                         const core::Configuration& configuration) {
+  if (auto bad = analyzer.check_configuration(configuration)) {
+    args.reject(*std::move(bad));
+  }
+}
+
 /// Rejects an invalid log-spaced sweep axis (--from, --to, --steps).
 void check_sweep_range(const Args& args, double from, double to, int steps) {
   if (steps < 2) args.reject_flag("steps", "must be >= 2");
@@ -414,6 +423,7 @@ int run_availability(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   const core::Analyzer analyzer(sys);
+  check_configuration(args, analyzer, configuration);
   // Availability needs the underlying chain; the analyzer rebuilds it
   // from the same parameters analyze() uses.
   const auto built = analyzer.build_chain(configuration);
@@ -437,6 +447,7 @@ int run_chain(const Args& args, std::ostream& out, std::ostream& err) {
   if (const int rc = check_unused(args, err); rc != 0) return rc;
 
   const core::Analyzer analyzer(sys);
+  check_configuration(args, analyzer, configuration);
   ctmc::DotOptions options;
   options.graph_name = core::name(configuration);
   ctmc::write_dot(analyzer.build_chain(configuration).chain, out, options);
@@ -536,6 +547,7 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     spec.options.progress = &*meter;
   }
   const core::Analyzer analyzer(system);
+  check_configuration(args, analyzer, configuration);
   const double analytic = analyzer.mttdl(configuration).value();
   // Single-cell grid through the same engine as the sweeps: the cell's
   // seed is the base seed and the intra-cell jobs/progress are honored,

@@ -6,11 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "raid/array_model.hpp"
 #include "sim/storage_simulator.hpp"
 #include "util/assert.hpp"
@@ -62,30 +58,19 @@ std::string ir_solve_key(const models::InternalRaidParams& p,
 /// Runs `solve` with memoization when a cache is supplied. Exceptions
 /// from the solve are converted to typed errors and cached exactly like
 /// values, so a hit on a known-bad key replays the original error
-/// without re-running the failing solve.
+/// without re-running the failing solve. Every exit sets the solve
+/// probe's outcome, so hits and computed solves journal alike.
 template <typename Solve>
 [[nodiscard]] Expected<double> cached_solve(SolveCache* cache,
                                             const std::string& key,
                                             Solve solve) {
-  obs::Span span(obs::probe::kSpanSolve, obs::probe::kSpanCategoryCore);
-  if (obs::Journal::enabled()) {
-    obs::Journal::instance().record(obs::seq_event(obs::event::kSolveStart));
-  }
-  // Brackets every exit below so hit and computed outcomes journal alike.
-  const auto journal_end = [&](const Expected<double>& outcome) {
-    if (obs::Journal::enabled()) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kSolveEnd)
-              .arg("outcome", outcome.has_value()
-                                  ? "ok"
-                                  : error_code_name(outcome.error().code)));
-    }
+  obs::Probe probe(obs::layer::kSolve);
+  const auto finish = [&](Expected<double> outcome) {
+    probe.outcome(outcome.has_value() ? "ok"
+                                      : error_code_name(outcome.error().code));
+    return outcome;
   };
   const auto guarded = [&]() -> Expected<double> {
-    const obs::ScopedTimer timer(
-        obs::Registry::enabled()
-            ? obs::Registry::instance().histogram(obs::probe::kCoreSolveNs)
-            : obs::Histogram{});
     try {
       return solve().value();
     } catch (const ErrorException& e) {
@@ -95,21 +80,17 @@ template <typename Solve>
     }
   };
   if (cache == nullptr) {
-    span.arg("cache", "none");
-    Expected<double> outcome = guarded();
-    journal_end(outcome);
-    return outcome;
+    probe.arg("cache", "none");
+    return finish(guarded());
   }
   if (auto hit = cache->lookup(key)) {
-    span.arg("cache", "hit");
-    journal_end(*hit);
-    return *std::move(hit);
+    probe.arg("cache", "hit");
+    return finish(*std::move(hit));
   }
-  span.arg("cache", "miss");
+  probe.arg("cache", "miss");
   Expected<double> outcome = guarded();
   cache->store(key, outcome);
-  journal_end(outcome);
-  return outcome;
+  return finish(std::move(outcome));
 }
 
 /// Checks a system parameter for the try_analyze path: finite and
@@ -241,9 +222,8 @@ AnalysisResult Analyzer::analyze(const Configuration& configuration,
   return try_analyze(configuration, method, cache).value_or_throw();
 }
 
-[[nodiscard]] Expected<AnalysisResult> Analyzer::try_analyze(
-    const Configuration& configuration, Method method,
-    SolveCache* cache) const {
+std::optional<Error> Analyzer::check_configuration(
+    const Configuration& configuration) const {
   if (configuration.node_fault_tolerance < 1 ||
       configuration.node_fault_tolerance >= config_.redundancy_set_size) {
     return Error{ErrorCode::kInvalidParameter, "core.analyzer",
@@ -262,21 +242,28 @@ AnalysisResult Analyzer::analyze(const Configuration& configuration,
   }
   if (auto bad = check_positive_finite(config_.drive.mttf.value(),
                                        "drive MTTF")) {
-    return *std::move(bad);
+    return bad;
   }
   if (auto bad = check_positive_finite(config_.node_mttf.value(),
                                        "node MTTF")) {
-    return *std::move(bad);
+    return bad;
   }
   if (auto bad = check_positive_finite(config_.drive.capacity.value(),
                                        "drive capacity")) {
-    return *std::move(bad);
+    return bad;
   }
   if (!std::isfinite(config_.drive.her_per_byte) ||
       config_.drive.her_per_byte < 0.0) {
     return Error{ErrorCode::kInvalidParameter, "core.analyzer",
                  "hard-error rate must be finite and non-negative"};
   }
+  return std::nullopt;
+}
+
+[[nodiscard]] Expected<AnalysisResult> Analyzer::try_analyze(
+    const Configuration& configuration, Method method,
+    SolveCache* cache) const {
+  if (auto bad = check_configuration(configuration)) return *std::move(bad);
 
   AnalysisResult result;
   result.configuration = configuration;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/configuration.hpp"
@@ -70,6 +71,16 @@ class Analyzer {
   [[nodiscard]] Expected<AnalysisResult> try_analyze(
       const Configuration& configuration, Method method = Method::kExactChain,
       SolveCache* cache = nullptr) const;
+
+  /// The checks try_analyze() runs before any model is built: the node
+  /// fault tolerance is in [1, R) (and at most 16 without internal
+  /// RAID), and the drive MTTF, node MTTF and drive capacity are finite
+  /// and positive, the hard-error rate finite and non-negative. Returns
+  /// the invalid_parameter error of the first failed check. Callers of
+  /// build_chain() and simulate_mttdl() run it first, so user input
+  /// never reaches a model's contract checks.
+  [[nodiscard]] std::optional<Error> check_configuration(
+      const Configuration& configuration) const;
 
   /// Shortcuts.
   [[nodiscard]] Hours mttdl(const Configuration& configuration,

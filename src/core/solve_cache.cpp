@@ -5,9 +5,9 @@
 #include <string>
 #include <utility>
 
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/probe_names.hpp"
 #include "util/sync.hpp"
 
@@ -19,15 +19,13 @@ struct CacheProbes {
   obs::Counter hits;
   obs::Counter misses;
   obs::Counter inserts;
-  obs::Histogram insert_ns;
 };
 
 CacheProbes cache_probes() {
   auto& registry = obs::Registry::instance();
   return {registry.counter(obs::probe::kSolveCacheHits),
           registry.counter(obs::probe::kSolveCacheMisses),
-          registry.counter(obs::probe::kSolveCacheInserts),
-          registry.histogram(obs::probe::kSolveCacheInsertNs)};
+          registry.counter(obs::probe::kSolveCacheInserts)};
 }
 
 }  // namespace
@@ -62,16 +60,14 @@ CacheProbes cache_probes() {
 }
 
 void SolveCache::store(const std::string& key, Expected<double> outcome) {
-  const CacheProbes probes =
-      obs::Registry::enabled() ? cache_probes() : CacheProbes{};
-  const obs::ScopedTimer timer(probes.insert_ns);
+  const obs::Probe probe(obs::layer::kCacheInsert);
   bool inserted = false;
   {
     const util::MutexLock lock(mutex_);
     inserted = values_.emplace(key, std::move(outcome)).second;
   }
   if (inserted && obs::Registry::enabled()) {
-    obs::Registry::instance().add(probes.inserts);
+    obs::Registry::instance().add(cache_probes().inserts);
   }
 }
 

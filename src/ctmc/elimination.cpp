@@ -9,8 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "util/assert.hpp"
 
 namespace nsrel::ctmc {
@@ -212,19 +211,16 @@ struct Setup {
   template <typename Rate>
   Setup(const Chain& chain, StateId initial_state, const Rate& rate)
       : transient(checked_transient_states(chain, initial_state)),
-        span(obs::probe::kSpanEliminationSolve,
-             obs::probe::kSpanCategoryCtmc) {
+        span(obs::layer::kEliminationSolve) {
     RowSink<T> sink = chain_rows<T>(chain, rate);
     initial = sink.row_of(initial_state);
-    if (span.armed()) {
-      span.arg("states", static_cast<std::uint64_t>(transient.size()));
-    }
+    span.arg("states", static_cast<std::uint64_t>(transient.size()));
     system = jump_system(std::move(sink));
   }
 
   std::vector<StateId> transient;
   std::size_t initial = 0;
-  obs::Span span;
+  obs::Probe span;
   JumpSystem<T> system;
 };
 
@@ -290,12 +286,9 @@ double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
     RowSink<double>&& rows, StateId initial) {
   const std::size_t row = rows.row_of(initial);
   NSREL_EXPECTS(row != RowSink<double>::kNoRow);
-  obs::Span span(obs::probe::kSpanEliminationSolve,
-                 obs::probe::kSpanCategoryCtmc);
+  obs::Probe span(obs::layer::kEliminationSolve);
   JumpSystem<double> system = jump_system(std::move(rows));
-  if (span.armed()) {
-    span.arg("states", static_cast<std::uint64_t>(system.rows.size()));
-  }
+  span.arg("states", static_cast<std::uint64_t>(system.rows.size()));
   NoLog log;
   return eliminate(system, row, log);
 }

@@ -12,12 +12,11 @@
 #include <vector>
 
 #include "engine/testing.hpp"
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/probe_names.hpp"
 #include "obs/progress.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
@@ -137,8 +136,7 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
   NSREL_EXPECTS(!grid.configurations.empty());
   NSREL_EXPECTS(options.jobs >= 0);
 
-  obs::Span eval_span(obs::probe::kSpanEvaluate,
-                      obs::probe::kSpanCategoryEngine);
+  obs::Probe eval_span(obs::layer::kEvaluate);
   eval_span.arg("points", static_cast<std::uint64_t>(grid.points.size()));
   eval_span.arg("configurations",
                 static_cast<std::uint64_t>(grid.configurations.size()));
@@ -187,8 +185,8 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
               .arg("point", static_cast<std::uint64_t>(point))
               .arg("config", static_cast<std::uint64_t>(configuration)));
     }
-    obs::Span cell_span(obs::probe::kSpanCell, obs::probe::kSpanCategoryEngine);
-    if (cell_span.armed()) {
+    obs::Probe cell_span(obs::layer::kCell);
+    if (cell_span.tracing()) {
       cell_span.arg("cell", static_cast<std::uint64_t>(index));
       cell_span.arg("point", static_cast<std::uint64_t>(point));
       cell_span.arg("config", core::name(grid.configurations[configuration]));
@@ -214,13 +212,14 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
             sim_options.jobs = 1;
             sim_options.progress = nullptr;
           }
-          obs::Span sim_span(obs::probe::kSpanSimCell,
-                             obs::probe::kSpanCategoryEngine);
+          obs::Probe sim_span(obs::layer::kSimCell);
           sim::SimEstimate estimate;
           estimate.seed = cell_seed(spec.seed, index);
-          if (sim_span.armed()) {
-            sim_span.arg("trials", static_cast<std::uint64_t>(spec.trials));
-            sim_span.arg("seed", estimate.seed);
+          sim_span.arg("trials", static_cast<std::uint64_t>(spec.trials));
+          sim_span.arg("seed", estimate.seed);
+          if (auto bad = analyzer.check_configuration(
+                  grid.configurations[configuration])) {
+            return *std::move(bad);
           }
           estimate.estimate = analyzer.simulate_mttdl(
               grid.configurations[configuration], spec.trials, estimate.seed,
@@ -241,10 +240,8 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
       }
     }();
     const bool failed = !outcome.has_value();
-    if (cell_span.armed()) {
-      cell_span.arg("outcome", failed ? error_code_name(outcome.error().code)
-                                      : "ok");
-    }
+    cell_span.arg("outcome",
+                  failed ? error_code_name(outcome.error().code) : "ok");
     if (obs::Registry::enabled()) {
       auto& registry = obs::Registry::instance();
       registry.add(registry.counter(failed ? obs::probe::kEngineCellsFailed
@@ -274,8 +271,7 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
   } else {
     std::atomic<std::size_t> next{0};
     const auto worker = [&] {
-      obs::Span claim_span(obs::probe::kSpanClaim,
-                           obs::probe::kSpanCategoryEngine);
+      obs::Probe claim_span(obs::layer::kClaim);
       std::uint64_t claimed = 0;
       for (;;) {
         if (stop.load(std::memory_order_relaxed)) break;

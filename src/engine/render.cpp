@@ -7,8 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "report/footer.hpp"
 #include "report/resultset_doc.hpp"
 #include "util/assert.hpp"
@@ -35,7 +34,7 @@ std::string label_header(const Grid& grid) {
 
 report::Table events_table(const ResultSet& results,
                            const core::ReliabilityTarget* mark_target) {
-  obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
+  obs::Probe span(obs::layer::kRender);
   span.arg("kind", "events_table");
   const Grid& grid = results.grid();
   NSREL_EXPECTS(!grid.is_simulation());
@@ -64,7 +63,7 @@ report::Table events_table(const ResultSet& results,
 }
 
 report::Table sweep_table(const ResultSet& results) {
-  obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
+  obs::Probe span(obs::layer::kRender);
   span.arg("kind", "sweep_table");
   const Grid& grid = results.grid();
   NSREL_EXPECTS(!grid.is_simulation());
@@ -97,7 +96,7 @@ report::Table sweep_table(const ResultSet& results) {
 }
 
 report::Table sim_sweep_table(const ResultSet& results) {
-  obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
+  obs::Probe span(obs::layer::kRender);
   span.arg("kind", "sim_sweep_table");
   const Grid& grid = results.grid();
   NSREL_EXPECTS(grid.is_simulation());
@@ -137,7 +136,7 @@ report::Table sim_sweep_table(const ResultSet& results) {
 
 report::Table compare_table(const ResultSet& results,
                             const core::ReliabilityTarget& target) {
-  obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
+  obs::Probe span(obs::layer::kRender);
   span.arg("kind", "compare_table");
   // This shape has no point-label column: it only makes sense for a
   // single-point grid, and silently rendering point 0 of a larger grid
@@ -233,7 +232,7 @@ void write_json(const ResultSet& results, std::ostream& out) {
 
 void write_json(const ResultSet& results, std::ostream& out,
                 const JsonOptions& options) {
-  obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
+  obs::Probe span(obs::layer::kRender);
   span.arg("kind", "json");
   report::write_resultset_json(make_document(results, options), out);
 }

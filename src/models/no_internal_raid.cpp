@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "ctmc/elimination.hpp"
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -231,8 +230,7 @@ class ChainBuilder {
 template <typename Sink>
 void walk(Sink& sink, const NoInternalRaidParams& params,
           const combinat::HParams& hp) {
-  const obs::Span span(obs::probe::kSpanChainBuild,
-                       obs::probe::kSpanCategoryModels);
+  const obs::Probe span(obs::layer::kChainBuild);
   ChainBuilder<Sink> builder(sink, params, hp);
   FailureWord prefix;
   const ctmc::StateId root = builder.build(prefix);

@@ -117,14 +117,11 @@ Journal& Journal::instance() {
 }
 
 void Journal::begin() {
-  const util::MutexLock lock(mutex_);
-  for (const auto& ring : owned_) ring->reset();
-  committed_.clear();
-  dropped_ = 0;
-  enabled_.store(true, std::memory_order_relaxed);
+  clear();
+  set_armed(kJournalSink, true);
 }
 
-void Journal::disable() { enabled_.store(false, std::memory_order_relaxed); }
+void Journal::disable() { set_armed(kJournalSink, false); }
 
 void Journal::clear() {
   const util::MutexLock lock(mutex_);

@@ -5,7 +5,8 @@
 //
 // Hot-path design mirrors the metrics registry: recording is compiled
 // in everywhere and costs a single relaxed atomic load when the journal
-// is disabled (the default). When enabled, each thread appends to its
+// is disabled (the default) — its gate is the journal bit of the probe
+// gate (obs/probe.hpp). When enabled, each thread appends to its
 // own fixed-capacity ring that it alone touches — no locks, no
 // allocation, no clock reads. A full ring overwrites its oldest events
 // (flight-recorder semantics) and counts the overwrites.
@@ -27,17 +28,17 @@
 // exactly when every event is guaranteed to be in the caller's ring or
 // a retired one. Live rings of other threads are never read.
 //
-// Event names must come from event_names.hpp (string literals — events
-// store the pointers); tools/nsrel-lint enforces it.
+// Event names must come from the registry in probe_names.hpp (string
+// literals — events store the pointers); tools/nsrel-lint enforces it.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "obs/probe.hpp"
 #include "util/sync.hpp"
 
 namespace nsrel::obs {
@@ -72,7 +73,7 @@ inline constexpr std::size_t kMaxEventArgs = 4;
 ///
 /// Args past kMaxEventArgs are dropped silently (a probe never throws).
 struct Event {
-  const char* name = "";  ///< from event_names.hpp (pointer is stored)
+  const char* name = "";  ///< from probe_names.hpp (pointer is stored)
   ClockDomain domain = ClockDomain::kSequence;
   std::uint64_t seq = 0;
   double sim_seconds = 0.0;  ///< kSimTime domain only
@@ -126,9 +127,10 @@ class Journal {
   /// thread-exit ring retirement must always find a live instance).
   static Journal& instance();
 
-  /// The probe gate: one relaxed load. All recording no-ops when off.
+  /// The journal bit of the probe gate: one relaxed load. All recording
+  /// no-ops when off.
   [[nodiscard]] static bool enabled() {
-    return instance().enabled_.load(std::memory_order_relaxed);
+    return (armed_sinks() & kJournalSink) != 0;
   }
 
   /// Clears every ring and starts recording. Call before spawning
@@ -171,8 +173,6 @@ class Journal {
   void retire(Ring* ring);
   void flush_locked(Ring& ring) NSREL_REQUIRES(mutex_);
 
-  // Relaxed probe gate (see tools/lint/atomics.tsv).
-  std::atomic<bool> enabled_{false};
   mutable util::Mutex mutex_;
   std::vector<std::unique_ptr<Ring>> owned_ NSREL_GUARDED_BY(mutex_);
   std::vector<Ring*> active_ NSREL_GUARDED_BY(mutex_);

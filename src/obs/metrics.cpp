@@ -110,10 +110,6 @@ Registry& Registry::instance() {
   return *leaked;
 }
 
-void Registry::set_enabled(bool on) {
-  enabled_.store(on, std::memory_order_relaxed);
-}
-
 Counter Registry::counter(std::string_view name) {
   const util::MutexLock lock(mutex_);
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {

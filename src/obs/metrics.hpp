@@ -3,7 +3,8 @@
 // Monte-Carlo runner) and rendered as the CLI's `--metrics` block.
 //
 // Hot-path design: probes are compiled in everywhere and cost a single
-// relaxed atomic load when the registry is disabled (the default). When
+// relaxed atomic load when the registry is disabled (the default): its
+// gate is the metrics bit of the probe gate (obs/probe.hpp). When
 // enabled, each thread increments its own shard — a fixed-size array of
 // relaxed atomics it alone writes — so counters never contend. snapshot()
 // merges the shards (plus the folded totals of threads that have exited)
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/probe.hpp"
 #include "util/sync.hpp"
 
 namespace nsrel::obs {
@@ -56,11 +57,12 @@ class Registry {
   /// find a live instance.
   static Registry& instance();
 
-  /// The global probe gate: one relaxed load. All probes no-op when off.
+  /// The metrics bit of the probe gate: one relaxed load. All probes
+  /// no-op when off.
   [[nodiscard]] static bool enabled() {
-    return instance().enabled_.load(std::memory_order_relaxed);
+    return (armed_sinks() & kMetricsSink) != 0;
   }
-  void set_enabled(bool on);
+  static void set_enabled(bool on) { set_armed(kMetricsSink, on); }
 
   /// Returns the handle for `name`, registering it on first use.
   /// Idempotent and thread-safe; past capacity the reserved overflow
@@ -123,8 +125,6 @@ class Registry {
 
   friend struct ShardHolder;
 
-  // Relaxed probe gate (see tools/lint/atomics.tsv).
-  std::atomic<bool> enabled_{false};
   mutable util::Mutex mutex_;
   std::vector<std::string> counter_names_ NSREL_GUARDED_BY(mutex_);
   std::vector<std::string> histogram_names_ NSREL_GUARDED_BY(mutex_);
@@ -132,25 +132,6 @@ class Registry {
   std::vector<Shard*> active_ NSREL_GUARDED_BY(mutex_);
   std::vector<Shard*> free_ NSREL_GUARDED_BY(mutex_);
   std::unique_ptr<Retired> retired_ NSREL_GUARDED_BY(mutex_);
-};
-
-/// RAII histogram timer: reads the clock only when the registry is
-/// enabled at construction, records elapsed ns at destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram histogram)
-      : histogram_(histogram), start_(Registry::enabled() ? now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (start_ != 0) {
-      Registry::instance().record(histogram_, now_ns() - start_);
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram histogram_;
-  std::uint64_t start_;
 };
 
 /// Renders the snapshot as the CLI's `--metrics` stderr block: counters

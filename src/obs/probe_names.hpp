@@ -1,26 +1,31 @@
-// The single registry of observability probe names: every counter,
-// histogram, and trace-span name the library emits lives here and
-// nowhere else.
+// The one registry of observability names: every counter, histogram,
+// instrumented layer and flight-recorder event the library emits lives
+// here and nowhere else.
 //
-// Why a registry instead of string literals at the call sites: probe
-// names are rendered into `--metrics` blocks and Perfetto traces that
-// downstream tooling greps by exact name, so a silent rename (or two
-// subsystems colliding on one name) corrupts dashboards without failing
-// a single test. tools/nsrel-lint enforces both halves mechanically:
-// the `probe-registry` rule rejects string literals passed directly to
-// Registry::counter()/histogram() or obs::Span in src/, and rejects
-// duplicate name constants in this header. Tests are exempt (they mint
-// throwaway "test.*" names for registry behavior itself).
-//
-// Span identity is (name, category); categories are the per-subsystem
-// kSpanCategory* constants below, and a (name, category) pair appearing
-// twice is fine only when it really is the same span emitted from the
-// same code path (e.g. kSpanRender from each of the four renderers).
+// Why a registry instead of string literals at the call sites: these
+// names are rendered into `--metrics` blocks, Perfetto traces and
+// `nsrel-events-v1` journals that downstream tooling (`nsrel events`,
+// `nsrel report`, perfbench) greps by exact name, so a silent rename (or
+// two subsystems colliding on one name) corrupts dashboards without
+// failing a single test. tools/nsrel-lint's `probe-registry` rule
+// enforces it mechanically: it rejects string literals passed to
+// Registry::counter()/histogram(), seq_event()/sim_event() or a Layer
+// built outside this header in src/; it rejects a name registered twice
+// anywhere in this header (a layer's derived histogram name included);
+// and it pins the event names append-only against
+// tools/lint/event_names.tsv — renaming or deleting a shipped event
+// name is a lint failure, exactly like error codes. Tests are exempt
+// from the literal rule (they mint throwaway "test.*" names).
 #pragma once
 
-namespace nsrel::obs::probe {
+#include <cstddef>
+#include <cstdint>
 
-// --- counters ---------------------------------------------------------
+namespace nsrel::obs {
+
+// --- counters and plain histograms -----------------------------------
+namespace probe {
+
 inline constexpr const char* kThreadPoolSubmitted = "thread_pool.submitted";
 inline constexpr const char* kThreadPoolCompleted = "thread_pool.completed";
 inline constexpr const char* kSolveCacheHits = "solve_cache.hits";
@@ -46,45 +51,115 @@ inline constexpr const char* kRepairStripesFailed = "repair.stripes_failed";
 inline constexpr const char* kThreadPoolWorkerPrefix = "thread_pool.worker";
 inline constexpr const char* kThreadPoolWorkerBusySuffix = ".busy_ns";
 
-// --- histograms -------------------------------------------------------
 inline constexpr const char* kThreadPoolQueueDepth = "thread_pool.queue_depth";
 inline constexpr const char* kThreadPoolQueueDelayNs =
     "thread_pool.queue_delay_ns";
 inline constexpr const char* kThreadPoolTaskNs = "thread_pool.task_ns";
-inline constexpr const char* kSolveCacheInsertNs = "solve_cache.insert_ns";
-inline constexpr const char* kCoreSolveNs = "core.solve_ns";
 
-// --- trace spans (name, category) -------------------------------------
-inline constexpr const char* kSpanCategoryCore = "core";
-inline constexpr const char* kSpanCategoryEngine = "engine";
-inline constexpr const char* kSpanCategorySim = "sim";
-inline constexpr const char* kSpanCategoryCtmc = "ctmc";
-inline constexpr const char* kSpanCategoryReport = "report";
-inline constexpr const char* kSpanCategoryRepair = "repair";
-inline constexpr const char* kSpanCategoryModels = "models";
+}  // namespace probe
 
-inline constexpr const char* kSpanSolve = "solve";
-/// The CTMC solver span (every GTH elimination), tagged with a "states"
-/// arg (the dimension the kernel ran on).
-inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
-/// A model's chain construction: the no-internal-RAID failure-word walk,
-/// into a labelled Chain or straight into the kernel's rows.
-inline constexpr const char* kSpanChainBuild = "chain_build";
-inline constexpr const char* kSpanEvaluate = "evaluate";
-inline constexpr const char* kSpanCell = "cell";
-/// A Monte-Carlo grid cell: wraps the sim::run_trials call for one
-/// (point, configuration) slot when the grid carries a SimSpec.
-inline constexpr const char* kSpanSimCell = "sim_cell";
-inline constexpr const char* kSpanClaim = "claim";
-inline constexpr const char* kSpanRender = "render";
-inline constexpr const char* kSpanChunk = "chunk";
+// --- flight-recorder events (append-only, see event_names.tsv) -------
+namespace event {
+
+/// Cache-keyed CTMC solve began (no args).
+inline constexpr const char* kSolveStart = "solve.start";
+/// ...and finished (args: outcome = ok|<stable error code>).
+inline constexpr const char* kSolveEnd = "solve.end";
+/// Solve-cache lookup classified (no args; the enclosing scope says
+/// which cell asked).
+inline constexpr const char* kCacheHit = "cache.hit";
+inline constexpr const char* kCacheMiss = "cache.miss";
+/// Engine grid cell claimed by a worker (args: cell, point, config).
+inline constexpr const char* kCellClaim = "cell.claim";
+/// ...and failed with a typed error (args: cell, code).
+inline constexpr const char* kCellFail = "cell.fail";
+/// One Monte-Carlo chunk completed (args: stream, trials).
+inline constexpr const char* kSimChunk = "sim.chunk";
+/// Repair batch barrier reached (sim-time domain; args: batch,
+/// committed).
+inline constexpr const char* kRepairBarrier = "repair.barrier";
+/// Fault-schedule entry fired (args: node, drive, applied = 0|1 —
+/// no-op entries are recorded too, they still forced a barrier).
+inline constexpr const char* kRepairFault = "repair.fault";
+/// Re-plan after an applied fault (args: invalidated = pending stripes
+/// sent back to planning; the run's replans counter sums these).
+inline constexpr const char* kRepairReplan = "repair.replan";
+/// A failed stripe re-queued (args: object, stripe, retries).
+inline constexpr const char* kRepairRetry = "repair.retry";
+/// Brick-store read served by decode instead of a direct shard read
+/// (no args; during repair the enclosing barrier scope locates it).
+inline constexpr const char* kBrickDegradedRead = "brick.degraded_read";
+/// Foreground workload read that returned a typed error — during a
+/// repair run this is a read that found too few live shards (no args;
+/// scoped to the barrier that served it).
+inline constexpr const char* kWorkloadReadFailed = "workload.read_failed";
+
+}  // namespace event
+
+// --- instrumented layers ----------------------------------------------
+
+/// One instrumented layer: what a Probe (obs/probe.hpp) feeds. The span
+/// is (name, category); the duration histogram is named
+/// "<category>.<name>_ns"; a layer that names a journal pair records
+/// `journal_start` when its probe opens and `journal_end` (with the
+/// probe's outcome) when it closes.
+struct Layer {
+  std::uint32_t id;  ///< index into layer::kAll
+  const char* name;
+  const char* category;
+  const char* journal_start = nullptr;
+  const char* journal_end = nullptr;
+};
+
+namespace layer {
+
+/// A cache-keyed solve (args: cache = hit|miss|none); perfbench counts
+/// solves and hits from it.
+inline constexpr Layer kSolve{0, "solve", "core", event::kSolveStart,
+                              event::kSolveEnd};
+/// Every GTH elimination (args: states = the kernel's dimension).
+inline constexpr Layer kEliminationSolve{1, "elimination_solve", "ctmc"};
+/// The no-internal-RAID failure-word walk (either sink).
+inline constexpr Layer kChainBuild{2, "chain_build", "models"};
+/// One engine::evaluate call (args: points, configurations, jobs); its
+/// thread is the caller's.
+inline constexpr Layer kEvaluate{3, "evaluate", "engine"};
+/// One grid cell (args: cell, point, config, outcome).
+inline constexpr Layer kCell{4, "cell", "engine"};
+/// A Monte-Carlo grid cell (args: trials, seed).
+inline constexpr Layer kSimCell{5, "sim_cell", "engine"};
+/// One worker's claim loop (args: claimed).
+inline constexpr Layer kClaim{6, "claim", "engine"};
+/// Rendering a ResultSet (args: kind).
+inline constexpr Layer kRender{7, "render", "engine"};
+inline constexpr Layer kChunk{8, "chunk", "sim"};
 /// Strict nsrel-resultset-v3 document read (report::read_resultset_json).
-inline constexpr const char* kSpanResultSetRead = "resultset_read";
+inline constexpr Layer kResultSetRead{9, "resultset_read", "report"};
 /// ResultSet document comparison (report::diff_resultsets / nsrel diff).
-inline constexpr const char* kSpanDiff = "diff";
+inline constexpr Layer kDiff{10, "diff", "report"};
 /// One per-stripe repair task executed by repair::run_repair (args:
 /// stripe, outcome, retries) and the enclosing run.
-inline constexpr const char* kSpanRepairTask = "repair_task";
-inline constexpr const char* kSpanRepairRun = "repair_run";
+inline constexpr Layer kRepairTask{11, "repair_task", "repair"};
+inline constexpr Layer kRepairRun{12, "repair_run", "repair"};
+inline constexpr Layer kCacheInsert{13, "insert", "solve_cache"};
 
-}  // namespace nsrel::obs::probe
+inline constexpr const Layer* kAll[] = {
+    &kSolve,      &kEliminationSolve, &kChainBuild,  &kEvaluate,
+    &kCell,       &kSimCell,          &kClaim,       &kRender,
+    &kChunk,      &kResultSetRead,    &kDiff,        &kRepairTask,
+    &kRepairRun,  &kCacheInsert,
+};
+inline constexpr std::size_t kCount = sizeof(kAll) / sizeof(kAll[0]);
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kCount; ++i) {
+        if (kAll[i]->id != i) return false;
+      }
+      return true;
+    }(),
+    "layer ids must be their index in layer::kAll");
+
+}  // namespace layer
+
+}  // namespace nsrel::obs

@@ -5,6 +5,7 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/trace.hpp"
 
 namespace nsrel::obs {
@@ -19,12 +20,7 @@ Session::Session(Options options) : options_(std::move(options)) {
 }
 
 Session::~Session() {
-  if (finished_) return;
-  if (options_.metrics || options_.registry) {
-    Registry::instance().set_enabled(false);
-  }
-  if (options_.journal) Journal::instance().disable();
-  if (!options_.trace_path.empty()) TraceRecorder::instance().disable();
+  if (!finished_) set_armed(kTraceSink | kMetricsSink | kJournalSink, false);
 }
 
 bool Session::finish(std::ostream& err) {

@@ -15,6 +15,7 @@
 
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "util/sync.hpp"
 
 namespace nsrel::obs {
@@ -92,18 +93,14 @@ TraceRecorder& TraceRecorder::instance() {
   return *leaked;
 }
 
-bool TraceRecorder::enabled() {
-  return instance().enabled_.load(std::memory_order_relaxed);
-}
-
 void TraceRecorder::begin() {
   clear();
   epoch_ns_.store(now_ns(), std::memory_order_relaxed);
-  enabled_.store(true, std::memory_order_relaxed);
+  set_armed(kTraceSink, true);
 }
 
 void TraceRecorder::disable() {
-  enabled_.store(false, std::memory_order_relaxed);
+  set_armed(kTraceSink, false);
 }
 
 void TraceRecorder::clear() {
@@ -194,36 +191,6 @@ bool TraceRecorder::write_file(const std::string& path) {
   write(out);
   out.flush();
   return static_cast<bool>(out);
-}
-
-Span::Span(const char* name, const char* category)
-    : name_(name), category_(category) {
-  if (TraceRecorder::enabled()) start_ns_ = now_ns();
-}
-
-Span::~Span() {
-  if (!armed()) return;
-  TraceEvent event;
-  event.name = name_;
-  event.category = category_;
-  event.start_ns = start_ns_;
-  event.dur_ns = now_ns() - start_ns_;
-  event.args = std::move(args_);
-  TraceRecorder::instance().record(std::move(event));
-}
-
-void Span::arg(const char* key, std::string value) {
-  if (!armed()) return;
-  args_.push_back({key, std::move(value), /*quoted=*/true});
-}
-
-void Span::arg(const char* key, const char* value) {
-  arg(key, std::string(value));
-}
-
-void Span::arg(const char* key, std::uint64_t value) {
-  if (!armed()) return;
-  args_.push_back({key, std::to_string(value), /*quoted=*/false});
 }
 
 }  // namespace nsrel::obs

@@ -1,12 +1,10 @@
 // Trace-span recorder emitting Chrome/Perfetto `trace_event` JSON.
 //
-// Spans are RAII: construction stamps the start time, destruction records
-// one complete ("ph":"X") event into the calling thread's private buffer.
-// Like the metrics registry, the recorder is compiled in everywhere and a
-// disabled Span costs one relaxed atomic load — no clock read, no
-// allocation. Buffers are merged only when the trace is written (after
-// all parallel work has been joined), so recording never takes a lock on
-// the hot path.
+// Spans come from obs::Probe (obs/probe.hpp): a probe's destruction
+// records one complete ("ph":"X") event into the calling thread's private
+// buffer. The recorder's gate is the trace bit of the probes' one gate.
+// Buffers are merged only when the trace is written (after all parallel
+// work has been joined), so recording never takes a lock on the hot path.
 //
 // The output loads directly into chrome://tracing and ui.perfetto.dev:
 // a top-level {"traceEvents": [...]} object whose events carry name,
@@ -15,8 +13,8 @@
 // the build identity (semver, git SHA, compiler, build type) so every
 // trace self-identifies the binary it came from.
 //
-// Span name/category must be string literals (events store the pointers);
-// args copy their values and may be dynamic.
+// Span name/category come from the layer registry (events store the
+// pointers); args copy their values and may be dynamic.
 #pragma once
 
 #include <atomic>
@@ -26,15 +24,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/probe.hpp"
 #include "util/sync.hpp"
 
 namespace nsrel::obs {
-
-struct TraceArg {
-  std::string key;
-  std::string value;  ///< pre-rendered; emitted quoted or raw per `quoted`
-  bool quoted = true;
-};
 
 struct TraceEvent {
   const char* name = "";      ///< string literal
@@ -50,8 +43,10 @@ class TraceRecorder {
   /// The process-wide recorder (leaked, like the metrics registry).
   static TraceRecorder& instance();
 
-  /// The probe gate: one relaxed load.
-  [[nodiscard]] static bool enabled();
+  /// The trace bit of the probe gate: one relaxed load.
+  [[nodiscard]] static bool enabled() {
+    return (armed_sinks() & kTraceSink) != 0;
+  }
 
   /// Clears every buffer, stamps the trace epoch, and starts recording.
   void begin();
@@ -86,8 +81,7 @@ class TraceRecorder {
   Buffer& local_buffer();
   void retire(Buffer* buffer);
 
-  // Relaxed probes (see tools/lint/atomics.tsv).
-  std::atomic<bool> enabled_{false};
+  // Relaxed probe (see tools/lint/atomics.tsv).
   std::atomic<std::uint64_t> epoch_ns_{0};
   mutable util::Mutex mutex_;
   std::vector<std::unique_ptr<Buffer>> owned_ NSREL_GUARDED_BY(mutex_);
@@ -95,30 +89,6 @@ class TraceRecorder {
   std::vector<Buffer*> free_ NSREL_GUARDED_BY(mutex_);
   std::vector<TraceEvent> retired_events_ NSREL_GUARDED_BY(mutex_);
   std::uint32_t next_tid_ NSREL_GUARDED_BY(mutex_) = 0;
-};
-
-/// RAII trace span. Costs one relaxed load when tracing is off. arg()
-/// attaches a key/value pair (only stored while armed — guard expensive
-/// value construction with armed()).
-class Span {
- public:
-  Span(const char* name, const char* category);
-  ~Span();
-
-  [[nodiscard]] bool armed() const { return start_ns_ != 0; }
-
-  void arg(const char* key, std::string value);
-  void arg(const char* key, const char* value);
-  void arg(const char* key, std::uint64_t value);
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  const char* name_;
-  const char* category_;
-  std::uint64_t start_ns_ = 0;  ///< 0 = disarmed
-  std::vector<TraceArg> args_;
 };
 
 }  // namespace nsrel::obs

@@ -14,11 +14,10 @@
 #include <vector>
 
 #include "brick/object_store.hpp"
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -75,8 +74,7 @@ class Run {
   }
 
   RepairReport execute() {
-    obs::Span run_span(obs::probe::kSpanRepairRun,
-                       obs::probe::kSpanCategoryRepair);
+    obs::Probe run_span(obs::layer::kRepairRun);
     enqueue_degraded();
     while (true) {
       if (fire_due_events()) {
@@ -114,13 +112,10 @@ class Run {
     // Final join: decode workers never journal, so every event is in
     // the serial thread's ring (or already committed at a barrier).
     if (obs::Journal::enabled()) obs::Journal::instance().drain();
-    if (run_span.armed()) {
-      run_span.arg("stripes",
-                   static_cast<std::uint64_t>(report_.stripes_attempted));
-      run_span.arg("shards",
-                   static_cast<std::uint64_t>(report_.shards_repaired));
-      run_span.arg("faults", report_.injected_faults);
-    }
+    run_span.arg("stripes",
+                 static_cast<std::uint64_t>(report_.stripes_attempted));
+    run_span.arg("shards", static_cast<std::uint64_t>(report_.shards_repaired));
+    run_span.arg("faults", report_.injected_faults);
     return std::move(report_);
   }
 
@@ -480,9 +475,8 @@ class Run {
   }
 
   void finalize_success(const RepairTask& task) {
-    obs::Span span(obs::probe::kSpanRepairTask,
-                   obs::probe::kSpanCategoryRepair);
-    if (span.armed()) {
+    obs::Probe span(obs::layer::kRepairTask);
+    if (span.tracing()) {
       span.arg("stripe", stripe_label(task.stripe));
       span.arg("outcome", "ok");
       span.arg("retries", static_cast<std::uint64_t>(task.retries));
@@ -499,9 +493,8 @@ class Run {
   }
 
   void finalize_failure(const RepairTask& task, Error error) {
-    obs::Span span(obs::probe::kSpanRepairTask,
-                   obs::probe::kSpanCategoryRepair);
-    if (span.armed()) {
+    obs::Probe span(obs::layer::kRepairTask);
+    if (span.tracing()) {
       span.arg("stripe", stripe_label(task.stripe));
       span.arg("outcome", error_code_name(error.code));
       span.arg("retries", static_cast<std::uint64_t>(task.retries));

@@ -10,8 +10,7 @@
 #include <variant>
 #include <vector>
 
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "report/json.hpp"
 
 namespace nsrel::report {
@@ -148,7 +147,7 @@ void diff_cell(const CellDoc& a, const CellDoc& b,
 [[nodiscard]] Expected<DiffReport> diff_resultsets(const ResultSetDoc& a,
                                      const ResultSetDoc& b,
                                      const DiffOptions& options) {
-  obs::Span span(obs::probe::kSpanDiff, obs::probe::kSpanCategoryReport);
+  obs::Probe span(obs::layer::kDiff);
   if (a.method != b.method) {
     return shape_error("method mismatch: '" + a.method + "' vs '" + b.method +
                        "'");
@@ -188,10 +187,8 @@ void diff_cell(const CellDoc& a, const CellDoc& b,
               a.configurations[a.cells[i].configuration], options,
               report.rows);
   }
-  if (span.armed()) {
-    span.arg("cells", static_cast<std::uint64_t>(report.cells));
-    span.arg("drift", static_cast<std::uint64_t>(report.rows.size()));
-  }
+  span.arg("cells", static_cast<std::uint64_t>(report.cells));
+  span.arg("drift", static_cast<std::uint64_t>(report.rows.size()));
   return report;
 }
 

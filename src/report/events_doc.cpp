@@ -1,9 +1,7 @@
 #include "report/events_doc.hpp"
 
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -12,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/event_names.hpp"
+#include "obs/probe_names.hpp"
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 
@@ -55,71 +53,50 @@ void write_event_line(const obs::Event& event, std::ostream& out) {
 
 // --- reader -----------------------------------------------------------
 
-/// Schema-validation failure. Thrown internally, converted to Expected
-/// at the read_events_ndjson boundary.
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw ErrorException(Error{ErrorCode::kMalformedDocument, "report.events",
-                             path + ": " + what});
-}
-
-std::uint64_t parse_uint(const JsonValue& value, const std::string& field) {
-  if (!value.is_number()) fail(field, "expected an unsigned integer");
-  const std::string& token = value.text;
-  const bool digits_only =
-      !token.empty() &&
-      token.find_first_not_of("0123456789") == std::string::npos;
-  if (!digits_only || (token.size() > 1 && token[0] == '0')) {
-    fail(field, "expected an unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size()) {
-    fail(field, "unsigned integer out of range");
-  }
-  return parsed;
-}
+/// Schema-validation failures throw internally and are converted to
+/// Expected at the reader's boundary.
+constexpr FieldReader kReader{"report.events"};
 
 std::uint64_t read_header(const JsonValue& root, const std::string& path) {
-  if (!root.is_object()) fail(path, "expected an object");
+  if (!root.is_object()) kReader.fail(path, "expected an object");
   if (root.members.size() != 2 || root.members[0].first != "schema" ||
       root.members[1].first != "dropped") {
-    fail(path, "header must be {\"schema\", \"dropped\"}");
+    kReader.fail(path, "header must be {\"schema\", \"dropped\"}");
   }
   const JsonValue& schema = root.members[0].second;
   if (!schema.is_string() || schema.text != kEventsSchema) {
-    fail(path + ".schema",
-         "expected '" + std::string(kEventsSchema) + "'");
+    kReader.fail(path + ".schema",
+                 "expected '" + std::string(kEventsSchema) + "'");
   }
-  return parse_uint(root.members[1].second, path + ".dropped");
+  return kReader.parse_uint(root.members[1].second, path + ".dropped");
 }
 
 EventRecord read_event(const JsonValue& root, const std::string& path) {
-  if (!root.is_object()) fail(path, "expected an object");
+  if (!root.is_object()) kReader.fail(path, "expected an object");
   const auto& members = root.members;
   // Reserved keys come first and in order; everything after is an arg.
   // (The parser already rejected duplicate keys.)
   if (members.size() < 3 || members[0].first != "event" ||
       members[1].first != "domain" || members[2].first != "seq") {
-    fail(path, "event lines must start with event, domain, seq");
+    kReader.fail(path, "event lines must start with event, domain, seq");
   }
   EventRecord record;
   if (!members[0].second.is_string() || members[0].second.text.empty()) {
-    fail(path + ".event", "expected a non-empty string");
+    kReader.fail(path + ".event", "expected a non-empty string");
   }
   record.name = members[0].second.text;
   const JsonValue& domain = members[1].second;
   if (!domain.is_string() || (domain.text != "seq" && domain.text != "sim")) {
-    fail(path + ".domain", "expected \"seq\" or \"sim\"");
+    kReader.fail(path + ".domain", "expected \"seq\" or \"sim\"");
   }
   record.sim_domain = domain.text == "sim";
-  record.seq = parse_uint(members[2].second, path + ".seq");
+  record.seq = kReader.parse_uint(members[2].second, path + ".seq");
 
   std::size_t next = 3;
   if (record.sim_domain) {
     if (members.size() < 4 || members[3].first != "t" ||
         !members[3].second.is_number()) {
-      fail(path, "sim-domain events must carry a numeric 't'");
+      kReader.fail(path, "sim-domain events must carry a numeric 't'");
     }
     record.sim_seconds = members[3].second.number;
     next = 4;
@@ -129,7 +106,7 @@ EventRecord read_event(const JsonValue& root, const std::string& path) {
     const auto& [key, value] = members[i];
     const std::string field = path + "." + key;
     if (key == "event" || key == "domain" || key == "seq" || key == "t") {
-      fail(field, "reserved key out of position");
+      kReader.fail(field, "reserved key out of position");
     }
     EventRecord::Arg arg;
     arg.key = key;
@@ -143,13 +120,13 @@ EventRecord read_event(const JsonValue& root, const std::string& path) {
           token.find_first_not_of("0123456789") == std::string::npos;
       if (digits_only) {
         arg.kind = EventRecord::Arg::Kind::kUint;
-        arg.uint_value = parse_uint(value, field);
+        arg.uint_value = kReader.parse_uint(value, field);
       } else {
         arg.kind = EventRecord::Arg::Kind::kDouble;
         arg.double_value = value.number;
       }
     } else {
-      fail(field, "args must be numbers or strings");
+      kReader.fail(field, "args must be numbers or strings");
     }
     record.args.push_back(std::move(arg));
   }
@@ -248,12 +225,14 @@ void write_events_ndjson(const std::vector<obs::Event>& events,
       ++line_number;
       const std::string path = "line " + std::to_string(line_number);
       if (line.find_first_not_of(" \t\r") == std::string_view::npos) {
-        if (!saw_header) fail(path, "journal must start with a header line");
+        if (!saw_header) {
+          kReader.fail(path, "journal must start with a header line");
+        }
         continue;  // tolerate a trailing blank line
       }
       Expected<JsonValue> parsed = parse_json(line);
       if (!parsed.has_value()) {
-        fail(path, parsed.error().detail);
+        kReader.fail(path, parsed.error().detail);
       }
       if (!saw_header) {
         doc.dropped = read_header(parsed.value(), path);
@@ -262,7 +241,9 @@ void write_events_ndjson(const std::vector<obs::Event>& events,
         doc.events.push_back(read_event(parsed.value(), path));
       }
     }
-    if (!saw_header) fail("line 1", "journal must start with a header line");
+    if (!saw_header) {
+      kReader.fail("line 1", "journal must start with a header line");
+    }
   } catch (const ErrorException& e) {
     return e.error();
   }

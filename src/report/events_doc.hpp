@@ -16,7 +16,8 @@
 //
 // Event args are flattened into the line in emission order after the
 // reserved keys (event, domain, seq, t); arg keys never collide with
-// the reserved set (event_names.hpp documents each event's args).
+// the reserved set (the `event` namespace of obs/probe_names.hpp
+// documents each event's args).
 // Deterministic: events arrive stable-sorted by seq from
 // Journal::events(), numbers are raw uint tokens or shortest
 // round-trip doubles, so the same run writes the same bytes at any

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -309,6 +310,85 @@ class Parser {
   } catch (const ErrorException& e) {
     return e.error();
   }
+}
+
+void FieldReader::fail(const std::string& path, const std::string& what) const {
+  throw ErrorException(
+      Error{ErrorCode::kMalformedDocument, module_, path + ": " + what});
+}
+
+const JsonValue& FieldReader::require(const JsonValue& object,
+                                      const std::string& path,
+                                      std::string_view key) const {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) fail(path, "missing key '" + std::string(key) + "'");
+  return *value;
+}
+
+void FieldReader::check_object(const JsonValue& value,
+                               const std::string& path) const {
+  if (!value.is_object()) fail(path, "expected an object");
+}
+
+void FieldReader::check_keys(
+    const JsonValue& object, const std::string& path,
+    const std::vector<std::string_view>& allowed) const {
+  for (const auto& [key, value] : object.members) {
+    bool known = false;
+    for (const std::string_view candidate : allowed) {
+      if (key == candidate) {
+        known = true;
+        break;
+      }
+    }
+    if (!known) fail(path, "unknown key '" + key + "'");
+  }
+}
+
+std::string FieldReader::read_string(const JsonValue& object,
+                                     const std::string& path,
+                                     std::string_view key) const {
+  const JsonValue& value = require(object, path, key);
+  if (!value.is_string()) {
+    fail(path + "." + std::string(key), "expected a string");
+  }
+  return value.text;
+}
+
+double FieldReader::read_number(const JsonValue& object,
+                                const std::string& path,
+                                std::string_view key) const {
+  const JsonValue& value = require(object, path, key);
+  if (!value.is_number()) {
+    fail(path + "." + std::string(key), "expected a number");
+  }
+  return value.number;
+}
+
+std::uint64_t FieldReader::parse_uint(const JsonValue& value,
+                                      const std::string& field) const {
+  if (!value.is_number()) fail(field, "expected an unsigned integer");
+  const std::string& token = value.text;
+  const bool digits_only =
+      !token.empty() &&
+      token.find_first_not_of("0123456789") == std::string::npos;
+  if (!digits_only || (token.size() > 1 && token[0] == '0')) {
+    fail(field, "expected an unsigned integer");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
+  if (errno == ERANGE || end != token.c_str() + token.size()) {
+    fail(field, "unsigned integer out of range");
+  }
+  return parsed;
+}
+
+std::uint64_t FieldReader::read_uint(const JsonValue& object,
+                                     const std::string& path,
+                                     std::string_view key) const {
+  return parse_uint(require(object, path, key),
+                    path + "." + std::string(key));
 }
 
 }  // namespace nsrel::report

@@ -10,6 +10,7 @@
 // with a byte offset, not an exception.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,5 +58,42 @@ struct JsonValue {
 /// kMalformedDocument errors (layer "report.json") carrying the byte
 /// offset of the problem.
 [[nodiscard]] Expected<JsonValue> parse_json(std::string_view text);
+
+/// The strict field readers every document reader (resultset, metrics,
+/// events) validates its schema with. Each failure throws an
+/// ErrorException carrying a kMalformedDocument error from `module`
+/// with the detail "<path>: <what>"; the reader converts it to Expected
+/// at its boundary.
+class FieldReader {
+ public:
+  explicit constexpr FieldReader(const char* module) : module_(module) {}
+
+  [[noreturn]] void fail(const std::string& path,
+                         const std::string& what) const;
+
+  /// The member `key` of `object`, or a "missing key" failure.
+  const JsonValue& require(const JsonValue& object, const std::string& path,
+                           std::string_view key) const;
+  void check_object(const JsonValue& value, const std::string& path) const;
+  /// Fails on the first member whose key is not in `allowed`.
+  void check_keys(const JsonValue& object, const std::string& path,
+                  const std::vector<std::string_view>& allowed) const;
+
+  std::string read_string(const JsonValue& object, const std::string& path,
+                          std::string_view key) const;
+  double read_number(const JsonValue& object, const std::string& path,
+                     std::string_view key) const;
+  /// An exact non-negative integer: the raw token must be plain digits
+  /// (no sign, fraction, exponent or leading zero) so uint64 values —
+  /// solve-cache counters, sim seeds — survive without a double
+  /// round-trip. `field` names the value in failures.
+  std::uint64_t parse_uint(const JsonValue& value,
+                           const std::string& field) const;
+  std::uint64_t read_uint(const JsonValue& object, const std::string& path,
+                          std::string_view key) const;
+
+ private:
+  const char* module_;
+};
 
 }  // namespace nsrel::report

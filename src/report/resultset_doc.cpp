@@ -1,9 +1,7 @@
 #include "report/resultset_doc.hpp"
 
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -12,8 +10,7 @@
 #include <variant>
 #include <vector>
 
-#include "obs/probe_names.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 
@@ -68,108 +65,38 @@ void write_cell(JsonWriter& json, const CellDoc& cell) {
 
 // --- reader -----------------------------------------------------------
 
-/// Schema-validation failure. Thrown internally, converted to Expected
-/// at the read_resultset_json boundary.
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw ErrorException(Error{ErrorCode::kMalformedDocument,
-                             "report.resultset", path + ": " + what});
-}
-
-const JsonValue& require(const JsonValue& object, const std::string& path,
-                         std::string_view key) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    fail(path, "missing key '" + std::string(key) + "'");
-  }
-  return *value;
-}
-
-void check_object(const JsonValue& value, const std::string& path) {
-  if (!value.is_object()) fail(path, "expected an object");
-}
-
-void check_keys(const JsonValue& object, const std::string& path,
-                const std::vector<std::string_view>& allowed) {
-  for (const auto& [key, value] : object.members) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) fail(path, "unknown key '" + key + "'");
-  }
-}
-
-std::string read_string(const JsonValue& object, const std::string& path,
-                        std::string_view key) {
-  const JsonValue& value = require(object, path, key);
-  if (!value.is_string()) {
-    fail(path + "." + std::string(key), "expected a string");
-  }
-  return value.text;
-}
-
-double read_number(const JsonValue& object, const std::string& path,
-                   std::string_view key) {
-  const JsonValue& value = require(object, path, key);
-  if (!value.is_number()) {
-    fail(path + "." + std::string(key), "expected a number");
-  }
-  return value.number;
-}
-
-/// An exact non-negative integer: the raw token must be plain digits
-/// (no sign, fraction, or exponent) so uint64 values — solve-cache
-/// counters, sim seeds — survive without a double round-trip.
-std::uint64_t read_uint(const JsonValue& object, const std::string& path,
-                        std::string_view key) {
-  const JsonValue& value = require(object, path, key);
-  const std::string field = path + "." + std::string(key);
-  if (!value.is_number()) fail(field, "expected an unsigned integer");
-  const std::string& token = value.text;
-  const bool digits_only =
-      !token.empty() && token.find_first_not_of("0123456789") ==
-                            std::string::npos;
-  if (!digits_only || (token.size() > 1 && token[0] == '0')) {
-    fail(field, "expected an unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-  if (errno == ERANGE || end != token.c_str() + token.size()) {
-    fail(field, "unsigned integer out of range");
-  }
-  return parsed;
-}
+/// Schema-validation failures throw internally and are converted to
+/// Expected at the reader's boundary.
+constexpr FieldReader kReader{"report.resultset"};
 
 CacheMetaDoc read_cache_meta(const JsonValue& meta, const std::string& path) {
-  check_object(meta, path);
-  check_keys(meta, path, {"cache"});
-  const JsonValue& cache = require(meta, path, "cache");
+  kReader.check_object(meta, path);
+  kReader.check_keys(meta, path, {"cache"});
+  const JsonValue& cache = kReader.require(meta, path, "cache");
   const std::string cache_path = path + ".cache";
-  check_object(cache, cache_path);
-  check_keys(cache, cache_path, {"hits", "misses", "lookups"});
+  kReader.check_object(cache, cache_path);
+  kReader.check_keys(cache, cache_path, {"hits", "misses", "lookups"});
   CacheMetaDoc doc;
-  doc.hits = read_uint(cache, cache_path, "hits");
-  doc.misses = read_uint(cache, cache_path, "misses");
-  doc.lookups = read_uint(cache, cache_path, "lookups");
+  doc.hits = kReader.read_uint(cache, cache_path, "hits");
+  doc.misses = kReader.read_uint(cache, cache_path, "misses");
+  doc.lookups = kReader.read_uint(cache, cache_path, "lookups");
   return doc;
 }
 
 std::vector<AxisDoc> read_axes(const JsonValue& axes) {
-  if (!axes.is_array()) fail("axes", "expected an array");
+  if (!axes.is_array()) kReader.fail("axes", "expected an array");
   std::vector<AxisDoc> out;
   out.reserve(axes.items.size());
   for (std::size_t i = 0; i < axes.items.size(); ++i) {
     const std::string path = "axes[" + std::to_string(i) + "]";
     const JsonValue& axis = axes.items[i];
-    check_object(axis, path);
-    check_keys(axis, path, {"name"});
+    kReader.check_object(axis, path);
+    kReader.check_keys(axis, path, {"name"});
     AxisDoc doc;
-    doc.name = read_string(axis, path, "name");
-    if (doc.name.empty()) fail(path + ".name", "axis name must be non-empty");
+    doc.name = kReader.read_string(axis, path, "name");
+    if (doc.name.empty()) {
+      kReader.fail(path + ".name", "axis name must be non-empty");
+    }
     out.push_back(std::move(doc));
   }
   return out;
@@ -177,30 +104,31 @@ std::vector<AxisDoc> read_axes(const JsonValue& axes) {
 
 std::vector<PointDoc> read_points(const JsonValue& points,
                                   std::size_t axis_count) {
-  if (!points.is_array()) fail("points", "expected an array");
-  if (points.items.empty()) fail("points", "must be non-empty");
+  if (!points.is_array()) kReader.fail("points", "expected an array");
+  if (points.items.empty()) kReader.fail("points", "must be non-empty");
   std::vector<PointDoc> out;
   out.reserve(points.items.size());
   for (std::size_t i = 0; i < points.items.size(); ++i) {
     const std::string path = "points[" + std::to_string(i) + "]";
     const JsonValue& point = points.items[i];
-    check_object(point, path);
+    kReader.check_object(point, path);
     PointDoc doc;
-    doc.label = read_string(point, path, "label");
+    doc.label = kReader.read_string(point, path, "label");
     if (axis_count == 0) {
-      check_keys(point, path, {"label"});
+      kReader.check_keys(point, path, {"label"});
     } else {
-      check_keys(point, path, {"label", "x"});
-      const JsonValue& x = require(point, path, "x");
-      if (!x.is_array()) fail(path + ".x", "expected an array");
+      kReader.check_keys(point, path, {"label", "x"});
+      const JsonValue& x = kReader.require(point, path, "x");
+      if (!x.is_array()) kReader.fail(path + ".x", "expected an array");
       if (x.items.size() != axis_count) {
-        fail(path + ".x", "expected one coordinate per axis (" +
+        kReader.fail(path + ".x", "expected one coordinate per axis (" +
                               std::to_string(axis_count) + ")");
       }
       doc.x.reserve(x.items.size());
       for (std::size_t a = 0; a < x.items.size(); ++a) {
         if (!x.items[a].is_number()) {
-          fail(path + ".x[" + std::to_string(a) + "]", "expected a number");
+          kReader.fail(path + ".x[" + std::to_string(a) + "]",
+                       "expected a number");
         }
         doc.x.push_back(x.items[a].number);
       }
@@ -211,16 +139,19 @@ std::vector<PointDoc> read_points(const JsonValue& points,
 }
 
 std::vector<std::string> read_configurations(const JsonValue& configurations) {
-  if (!configurations.is_array()) fail("configurations", "expected an array");
+  if (!configurations.is_array()) {
+    kReader.fail("configurations", "expected an array");
+  }
   if (configurations.items.empty()) {
-    fail("configurations", "must be non-empty");
+    kReader.fail("configurations", "must be non-empty");
   }
   std::vector<std::string> out;
   out.reserve(configurations.items.size());
   for (std::size_t i = 0; i < configurations.items.size(); ++i) {
     const JsonValue& name = configurations.items[i];
     if (!name.is_string()) {
-      fail("configurations[" + std::to_string(i) + "]", "expected a string");
+      kReader.fail("configurations[" + std::to_string(i) + "]",
+                   "expected a string");
     }
     out.push_back(name.text);
   }
@@ -229,31 +160,33 @@ std::vector<std::string> read_configurations(const JsonValue& configurations) {
 
 CellDoc read_cell(const JsonValue& cell, const std::string& path,
                   std::size_t points, std::size_t configurations) {
-  check_object(cell, path);
+  kReader.check_object(cell, path);
   CellDoc doc;
-  doc.point = read_uint(cell, path, "point");
-  doc.configuration = read_uint(cell, path, "configuration");
-  if (doc.point >= points) fail(path + ".point", "index out of range");
+  doc.point = kReader.read_uint(cell, path, "point");
+  doc.configuration = kReader.read_uint(cell, path, "configuration");
+  if (doc.point >= points) kReader.fail(path + ".point", "index out of range");
   if (doc.configuration >= configurations) {
-    fail(path + ".configuration", "index out of range");
+    kReader.fail(path + ".configuration", "index out of range");
   }
-  const JsonValue& error = require(cell, path, "error");
+  const JsonValue& error = kReader.require(cell, path, "error");
   if (error.is_object()) {
     const std::string error_path = path + ".error";
-    check_keys(cell, path, {"point", "configuration", "error"});
-    check_keys(error, error_path, {"code", "layer", "detail"});
+    kReader.check_keys(cell, path, {"point", "configuration", "error"});
+    kReader.check_keys(error, error_path, {"code", "layer", "detail"});
     ErrorCellDoc failed;
-    failed.code = read_string(error, error_path, "code");
-    failed.layer = read_string(error, error_path, "layer");
-    failed.detail = read_string(error, error_path, "detail");
+    failed.code = kReader.read_string(error, error_path, "code");
+    failed.layer = kReader.read_string(error, error_path, "layer");
+    failed.detail = kReader.read_string(error, error_path, "detail");
     if (failed.code.empty()) {
-      fail(error_path + ".code", "error code must be non-empty");
+      kReader.fail(error_path + ".code", "error code must be non-empty");
     }
     doc.data = std::move(failed);
     return doc;
   }
-  if (!error.is_null()) fail(path + ".error", "expected null or an object");
-  const std::string kind = read_string(cell, path, "kind");
+  if (!error.is_null()) {
+    kReader.fail(path + ".error", "expected null or an object");
+  }
+  const std::string kind = kReader.read_string(cell, path, "kind");
   if (kind == "analytic") {
     AnalyticCellDoc analytic;
     analytic.has_internal_raid = cell.find("array_failure_per_hour") != nullptr;
@@ -273,82 +206,85 @@ CellDoc read_cell(const JsonValue& cell, const std::string& path,
       allowed.push_back("sector_error_per_hour");
       allowed.push_back("restripe_hours");
     }
-    check_keys(cell, path, allowed);
-    analytic.mttdl_hours = read_number(cell, path, "mttdl_hours");
+    kReader.check_keys(cell, path, allowed);
+    analytic.mttdl_hours = kReader.read_number(cell, path, "mttdl_hours");
     analytic.events_per_system_year =
-        read_number(cell, path, "events_per_system_year");
+        kReader.read_number(cell, path, "events_per_system_year");
     analytic.events_per_pb_year =
-        read_number(cell, path, "events_per_pb_year");
+        kReader.read_number(cell, path, "events_per_pb_year");
     analytic.logical_capacity_bytes =
-        read_number(cell, path, "logical_capacity_bytes");
-    analytic.node_rebuild_hours = read_number(cell, path, "node_rebuild_hours");
+        kReader.read_number(cell, path, "logical_capacity_bytes");
+    analytic.node_rebuild_hours =
+        kReader.read_number(cell, path, "node_rebuild_hours");
     analytic.node_rebuild_bottleneck =
-        read_string(cell, path, "node_rebuild_bottleneck");
+        kReader.read_string(cell, path, "node_rebuild_bottleneck");
     if (analytic.node_rebuild_bottleneck != "disk" &&
         analytic.node_rebuild_bottleneck != "network") {
-      fail(path + ".node_rebuild_bottleneck", "expected 'disk' or 'network'");
+      kReader.fail(path + ".node_rebuild_bottleneck",
+                   "expected 'disk' or 'network'");
     }
     if (analytic.has_internal_raid) {
       analytic.array_failure_per_hour =
-          read_number(cell, path, "array_failure_per_hour");
+          kReader.read_number(cell, path, "array_failure_per_hour");
       analytic.sector_error_per_hour =
-          read_number(cell, path, "sector_error_per_hour");
-      analytic.restripe_hours = read_number(cell, path, "restripe_hours");
+          kReader.read_number(cell, path, "sector_error_per_hour");
+      analytic.restripe_hours =
+          kReader.read_number(cell, path, "restripe_hours");
     }
     doc.data = std::move(analytic);
     return doc;
   }
   if (kind == "sim") {
-    check_keys(cell, path,
-               {"point", "configuration", "error", "kind", "mean_hours",
+    kReader.check_keys(cell, path,
+                       {"point", "configuration", "error", "kind", "mean_hours",
                 "stddev_hours", "stderr_hours", "ci95_low_hours",
                 "ci95_high_hours", "trials", "seed"});
     SimCellDoc sim;
-    sim.mean_hours = read_number(cell, path, "mean_hours");
-    sim.stddev_hours = read_number(cell, path, "stddev_hours");
-    sim.stderr_hours = read_number(cell, path, "stderr_hours");
-    sim.ci95_low_hours = read_number(cell, path, "ci95_low_hours");
-    sim.ci95_high_hours = read_number(cell, path, "ci95_high_hours");
-    const std::uint64_t trials = read_uint(cell, path, "trials");
+    sim.mean_hours = kReader.read_number(cell, path, "mean_hours");
+    sim.stddev_hours = kReader.read_number(cell, path, "stddev_hours");
+    sim.stderr_hours = kReader.read_number(cell, path, "stderr_hours");
+    sim.ci95_low_hours = kReader.read_number(cell, path, "ci95_low_hours");
+    sim.ci95_high_hours = kReader.read_number(cell, path, "ci95_high_hours");
+    const std::uint64_t trials = kReader.read_uint(cell, path, "trials");
     if (trials >
         static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      fail(path + ".trials", "unsigned integer out of range");
+      kReader.fail(path + ".trials", "unsigned integer out of range");
     }
     sim.trials = static_cast<int>(trials);
-    sim.seed = read_uint(cell, path, "seed");
+    sim.seed = kReader.read_uint(cell, path, "seed");
     doc.data = std::move(sim);
     return doc;
   }
-  fail(path + ".kind", "expected 'analytic' or 'sim'");
+  kReader.fail(path + ".kind", "expected 'analytic' or 'sim'");
 }
 
 ResultSetDoc read_document(const JsonValue& root) {
-  check_object(root, "document");
-  check_keys(root, "document",
-             {"schema", "method", "meta", "axes", "points", "configurations",
-              "cells"});
-  const std::string schema = read_string(root, "document", "schema");
+  kReader.check_object(root, "document");
+  kReader.check_keys(root, "document",
+                     {"schema", "method", "meta", "axes", "points",
+                      "configurations", "cells"});
+  const std::string schema = kReader.read_string(root, "document", "schema");
   if (schema != kResultSetSchema) {
-    fail("schema", "expected '" + std::string(kResultSetSchema) + "', got '" +
-                       schema + "'");
+    kReader.fail("schema", "expected '" + std::string(kResultSetSchema) +
+                               "', got '" + schema + "'");
   }
   ResultSetDoc doc;
-  doc.method = read_string(root, "document", "method");
-  if (doc.method.empty()) fail("method", "must be non-empty");
+  doc.method = kReader.read_string(root, "document", "method");
+  if (doc.method.empty()) kReader.fail("method", "must be non-empty");
   if (const JsonValue* meta = root.find("meta")) {
     doc.cache = read_cache_meta(*meta, "meta");
   }
-  doc.axes = read_axes(require(root, "document", "axes"));
-  doc.points = read_points(require(root, "document", "points"),
+  doc.axes = read_axes(kReader.require(root, "document", "axes"));
+  doc.points = read_points(kReader.require(root, "document", "points"),
                            doc.axes.size());
   doc.configurations =
-      read_configurations(require(root, "document", "configurations"));
+      read_configurations(kReader.require(root, "document", "configurations"));
 
-  const JsonValue& cells = require(root, "document", "cells");
-  if (!cells.is_array()) fail("cells", "expected an array");
+  const JsonValue& cells = kReader.require(root, "document", "cells");
+  if (!cells.is_array()) kReader.fail("cells", "expected an array");
   const std::size_t expected = doc.points.size() * doc.configurations.size();
   if (cells.items.size() != expected) {
-    fail("cells", "expected " + std::to_string(expected) +
+    kReader.fail("cells", "expected " + std::to_string(expected) +
                       " cells (points x configurations), got " +
                       std::to_string(cells.items.size()));
   }
@@ -362,7 +298,7 @@ ResultSetDoc read_document(const JsonValue& root) {
         i % doc.configurations.size();
     if (cell.point != expected_point ||
         cell.configuration != expected_configuration) {
-      fail(path, "cells must be in row-major (point-major) order");
+      kReader.fail(path, "cells must be in row-major (point-major) order");
     }
     doc.cells.push_back(std::move(cell));
   }
@@ -417,17 +353,16 @@ void write_resultset_json(const ResultSetDoc& doc, std::ostream& out) {
 }
 
 [[nodiscard]] Expected<ResultSetDoc> read_resultset_json(std::string_view text) {
-  obs::Span span(obs::probe::kSpanResultSetRead,
-                 obs::probe::kSpanCategoryReport);
+  obs::Probe span(obs::layer::kResultSetRead);
   span.arg("bytes", static_cast<std::uint64_t>(text.size()));
   Expected<JsonValue> parsed = parse_json(text);
   if (!parsed.has_value()) return parsed.error();
   try {
     ResultSetDoc doc = read_document(parsed.value());
-    if (span.armed()) span.arg("outcome", "ok");
+    span.arg("outcome", "ok");
     return doc;
   } catch (const ErrorException& e) {
-    if (span.armed()) span.arg("outcome", error_code_name(e.error().code));
+    span.arg("outcome", error_code_name(e.error().code));
     return e.error();
   }
 }

@@ -8,11 +8,10 @@
 #include <optional>
 #include <vector>
 
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
+#include "obs/probe.hpp"
 #include "obs/probe_names.hpp"
 #include "obs/progress.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -30,11 +29,9 @@ MomentAccumulator sample_chunk(const TrialSampler& sample_one,
                                std::uint64_t seed, std::uint64_t chunk,
                                int chunk_trials, std::uint64_t scope_base) {
   const obs::ScopeGuard journal_scope(scope_base + chunk + 1);
-  obs::Span span(obs::probe::kSpanChunk, obs::probe::kSpanCategorySim);
-  if (span.armed()) {
-    span.arg("stream", chunk);
-    span.arg("trials", static_cast<std::uint64_t>(chunk_trials));
-  }
+  obs::Probe span(obs::layer::kChunk);
+  span.arg("stream", chunk);
+  span.arg("trials", static_cast<std::uint64_t>(chunk_trials));
   Xoshiro256 rng(stream_seed(seed, chunk));
   MomentAccumulator acc;
   for (int i = 0; i < chunk_trials; ++i) acc.add(sample_one(rng));

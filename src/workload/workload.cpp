@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/event_names.hpp"
+#include "obs/probe_names.hpp"
 #include "obs/journal.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"

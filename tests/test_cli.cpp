@@ -770,6 +770,52 @@ INSTANTIATE_TEST_SUITE_P(HostileValues, RestoreHoursTest,
                          ::testing::Values("0", "-5", "nan", "inf", "1e400"),
                          restore_hours_case);
 
+// A node fault tolerance at or above the redundancy set size (default
+// --r 8) is the analyzer's typed configuration error in every command
+// that builds a chain or simulates, never a model's contract check.
+constexpr const char* kFtAtOrAboveR =
+    "error: core.analyzer: invalid_parameter: node fault tolerance must be "
+    ">= 1 and below the redundancy set size";
+
+TEST(Dispatch, ChainWithFtAtOrAboveRIsATypedUsageError) {
+  for (const char* scheme : {"none", "raid5"}) {
+    expect_usage_error(run({"chain", "--scheme", scheme, "--ft", "8"}),
+                       kFtAtOrAboveR);
+  }
+}
+
+TEST(Dispatch, AvailabilityWithFtAtOrAboveRIsATypedUsageError) {
+  for (const char* scheme : {"none", "raid5"}) {
+    expect_usage_error(
+        run({"availability", "--scheme", scheme, "--ft", "8"}),
+        kFtAtOrAboveR);
+  }
+}
+
+TEST(Dispatch, SimulateWithFtAtOrAboveRIsATypedUsageError) {
+  expect_usage_error(
+      run({"simulate", "--scheme", "none", "--ft", "8", "--node-mttf", "500",
+           "--drive-mttf", "300", "--trials", "100"}),
+      kFtAtOrAboveR);
+}
+
+TEST(Dispatch, SimulateSweepWithFtAtOrAboveRFailsCellsTyped) {
+  // A sweep keeps its partial-results contract: every cell carries the
+  // same typed error instead of a contract violation.
+  const auto result =
+      run({"simulate", "--scheme", "none", "--ft", "8", "--node-mttf", "500",
+           "--drive-mttf", "300", "--trials", "100", "--param", "drive-mttf",
+           "--from", "100", "--to", "300", "--steps", "2"});
+  EXPECT_EQ(result.exit_code, kExitPartialResults) << result.err;
+  EXPECT_EQ(result.err.find("precondition"), std::string::npos) << result.err;
+  EXPECT_NE(result.err.find("2 of 2 cell(s) failed"), std::string::npos)
+      << result.err;
+  EXPECT_NE(result.err.find("core.analyzer: invalid_parameter: node fault "
+                            "tolerance must be >= 1"),
+            std::string::npos)
+      << result.err;
+}
+
 TEST(Dispatch, ScenarioJobsBeyondIntIsAUsageError) {
   const std::string path =
       write_temp("jobs_huge.scenario", "[output]\njobs = 1e999\n");

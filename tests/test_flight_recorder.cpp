@@ -22,7 +22,6 @@
 #include "brick/object_store.hpp"
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"

@@ -87,15 +87,27 @@ TEST(NsrelLint, FiresOnProbeNameLiteralAndDuplicateRegistryEntry) {
   SKIP_WITHOUT_PYTHON();
   const RunResult result = lint_fixture("probe_registry");
   EXPECT_EQ(result.status, 1) << result.output;
-  EXPECT_NE(result.output.find("string literal"), std::string::npos)
+  EXPECT_NE(result.output.find("probe name is a string literal"),
+            std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("duplicate probe name"), std::string::npos)
+  EXPECT_NE(result.output.find("span name is a string literal"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("duplicate probe name \"cache.hits\""),
+            std::string::npos)
+      << result.output;
+  // A counter colliding with a layer's derived "<category>.<name>_ns"
+  // histogram is a duplicate too.
+  EXPECT_NE(result.output.find("duplicate probe name \"core.solve_ns\""),
+            std::string::npos)
       << result.output;
 }
 
+// The event names live in the same registry and fixture: the one
+// probe-registry rule also pins them against the stability table.
 TEST(NsrelLint, FiresOnEventNameLiteralDuplicateAndRename) {
   SKIP_WITHOUT_PYTHON();
-  const RunResult result = lint_fixture("event_registry");
+  const RunResult result = lint_fixture("probe_registry");
   EXPECT_EQ(result.status, 1) << result.output;
   EXPECT_NE(result.output.find("journal event name is a string literal"),
             std::string::npos)
@@ -103,6 +115,9 @@ TEST(NsrelLint, FiresOnEventNameLiteralDuplicateAndRename) {
   EXPECT_NE(result.output.find("duplicate event name"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("never be reordered or renamed"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("entries may never be removed"),
             std::string::npos)
       << result.output;
 }
